@@ -16,7 +16,6 @@ from .errors import (
     ResourceLimitError,
 )
 from .loh import (
-    ComparisonCounter,
     LayerOrderedHeap,
     LohConfig,
     layer_size_schedule,
@@ -43,7 +42,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CartesianProductTree",
     "CartselError",
-    "ComparisonCounter",
     "ConfigError",
     "ContractError",
     "EmptyInputError",

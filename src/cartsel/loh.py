@@ -7,9 +7,10 @@ holds exactly one value and sizes grow geometrically with a rank alpha > 1
 through the recurrence s(1) = 1, s(i+1) = ceil(alpha * s(i)); the final
 layer is truncated so the sizes sum to n exactly.
 
-Construction partitions the array with a linear select at each cumulative
-layer boundary, walking from the last boundary toward the first. The prefix
-sizes decay geometrically, so total work is linear in n for fixed alpha.
+Construction partitions the array in place with numpy's introselect at each
+cumulative layer boundary, walking from the last boundary toward the first.
+The prefix sizes decay geometrically, so total work is linear in n for fixed
+alpha.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .errors import (
 )
 
 __all__ = [
-    "ComparisonCounter",
     "LayerOrderedHeap",
     "LohConfig",
     "as_value_array",
@@ -40,12 +40,6 @@ __all__ = [
     "unify_profile",
     "verify_loh",
 ]
-
-# Pools at or below this size are partitioned by one sort instead of masking.
-_SMALL_SORT = 64
-# Fixed pivot seed: selections must be deterministic from run to run.
-_PIVOT_SEED = 0x1087
-
 
 def _alpha_fraction(alpha) -> Fraction:
     """Exact rational form of a rank; floats convert via their decimal repr."""
@@ -157,45 +151,16 @@ def unify_profile(arrays: list[np.ndarray]) -> list[np.ndarray]:
     return list(arrays)
 
 
-class ComparisonCounter:
-    """Tallies element comparisons made by the selection routines."""
-
-    __slots__ = ("comparisons",)
-
-    def __init__(self):
-        self.comparisons = 0
-
-    def add(self, n):
-        self.comparisons += int(n)
-
-
-def _mom_pivot(a: np.ndarray, counter=None):
-    """Median-of-medians pivot: worst-case linear, no randomness."""
-    m = len(a)
-    if m <= 5:
-        if counter is not None:
-            counter.add(3 * m)
-        return np.sort(a)[(m - 1) // 2]
-    full = (m // 5) * 5
-    meds = np.sort(a[:full].reshape(-1, 5), axis=1)[:, 2]
-    if full < m:
-        rest = np.sort(a[full:])
-        meds = np.append(meds, rest[(len(rest) - 1) // 2])
-    if counter is not None:
-        counter.add(2 * m)
-    head, _ = linear_select(meds, (len(meds) + 1) // 2, counter)
-    return head.max()
-
-
-def linear_select(pool, k, counter=None) -> tuple[np.ndarray, np.ndarray]:
+def linear_select(pool, k) -> tuple[np.ndarray, np.ndarray]:
     """Partition pool so a k-smallest multiset comes first.
 
     Returns (head, tail): head holds k values forming a smallest-k multiset
     of the pool, tail holds the rest; neither is in any particular order.
-    Expected linear time: three-way quickselect with pivots drawn from a
-    fixed-seed generator, switching to median-of-medians pivots past a depth
-    limit so the worst case stays linear. Pass a ComparisonCounter to tally
-    one comparison per element per partitioning pass.
+    One np.partition call: introselect, whose median-of-medians fallback
+    keeps the worst case linear. The head owns its data, because callers keep
+    it (an emitted layer lives as long as the tree) and a view would pin the
+    whole partitioned pool; the tail is a view, reused only as the next carry.
+    The pool itself is not modified.
     """
     arr = np.asarray(pool)
     n = arr.size
@@ -205,62 +170,9 @@ def linear_select(pool, k, counter=None) -> tuple[np.ndarray, np.ndarray]:
     if k == 0:
         return arr[:0], arr
     if k == n:
-        return arr, arr[:0]
-
-    rng = None
-    depth_limit = 2 * n.bit_length() + 8
-    heads: list[np.ndarray] = []
-    tails: list[np.ndarray] = []
-    a = arr
-    need = k
-    depth = 0
-    while True:
-        m = len(a)
-        if need == m:
-            heads.append(a)
-            break
-        if m <= _SMALL_SORT:
-            if counter is not None and m > 1:
-                counter.add(m * (m - 1).bit_length())
-            srt = np.sort(a)
-            heads.append(srt[:need])
-            tails.append(srt[need:])
-            break
-        if depth > depth_limit:
-            pivot = _mom_pivot(a, counter)
-        else:
-            if rng is None:
-                rng = np.random.default_rng(_PIVOT_SEED)
-            pivot = a[int(rng.integers(m))]
-        lt = a < pivot
-        if counter is not None:
-            counter.add(m)
-        n_lt = int(np.count_nonzero(lt))
-        if need <= n_lt:
-            tails.append(a[~lt])
-            a = a[lt]
-        else:
-            gt = a > pivot
-            if counter is not None:
-                counter.add(m)
-            n_gt = int(np.count_nonzero(gt))
-            n_eq = m - n_lt - n_gt
-            if need <= n_lt + n_eq:
-                # pivot ties straddle the cut; ration them by count
-                heads.append(a[lt])
-                ties = np.full(n_eq, pivot, dtype=a.dtype)
-                heads.append(ties[: need - n_lt])
-                tails.append(ties[need - n_lt :])
-                tails.append(a[gt])
-                break
-            heads.append(a[lt])
-            heads.append(np.full(n_eq, pivot, dtype=a.dtype))
-            a = a[gt]
-            need -= n_lt + n_eq
-        depth += 1
-    head = heads[0] if len(heads) == 1 else np.concatenate(heads)
-    tail = tails[0] if len(tails) == 1 else np.concatenate(tails) if tails else arr[:0]
-    return head, tail
+        return (arr if arr.base is None else arr.copy()), arr[:0]
+    part = np.partition(arr, k - 1)
+    return part[:k].copy(), part[k:]
 
 
 def partition_by_value(pool, bound) -> tuple[np.ndarray, np.ndarray]:
@@ -325,11 +237,12 @@ class LayerOrderedHeap:
         return self.layer_maxs[i - 1].item()
 
 
-def lohify(values, config: LohConfig | None = None, counter=None) -> LayerOrderedHeap:
+def lohify(values, config: LohConfig | None = None) -> LayerOrderedHeap:
     """Build a layer-ordered heap over values; the multiset is preserved.
 
-    Repeated linear selection at the layer boundaries, processed from the
-    last boundary toward the first, keeps total work linear in len(values).
+    The working copy is partitioned in place at each layer boundary, from the
+    last boundary toward the first; the prefixes shrink geometrically, so
+    total work stays linear in len(values).
     """
     cfg = config if config is not None else LohConfig()
     arr = as_value_array(values)
@@ -338,8 +251,7 @@ def lohify(values, config: LohConfig | None = None, counter=None) -> LayerOrdere
     work = arr.copy()
     end = len(work)
     for b in bounds[-2::-1]:
-        head, tail = linear_select(work[:end], int(b), counter)
-        work[:end] = np.concatenate((head, tail))
+        work[:end].partition(int(b) - 1)
         end = int(b)
     return LayerOrderedHeap(work, bounds, cfg)
 

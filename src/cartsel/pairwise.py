@@ -49,15 +49,22 @@ MODES = ("standard", "wobbly")
 class ProductTuple(NamedTuple):
     """Heap entry for one layer product; field order doubles as heap priority.
 
-    is_max False sorts before True, so at equal value a product's min tuple
-    pops before any max tuple, and (u, v) breaks the remaining ties
-    lexicographically.
+    is_min False sorts before True, so at equal value a max tuple pops before
+    any min tuple, and (u, v) breaks the remaining ties lexicographically.
+    Popping maxes first is sound, since a popped max(A(u)) + max(B(v)) is at
+    most every unpopped min, and it keeps heavy ties bounded: min-first would
+    expand every product in a tie band, and pull its children's layers,
+    before any of them could be certified.
     """
 
     value: float
-    is_max: bool
+    is_min: bool
     u: int
     v: int
+
+    @property
+    def is_max(self) -> bool:
+        return not self.is_min
 
     @property
     def ref(self) -> tuple[int, int]:
@@ -112,7 +119,7 @@ class PairwiseState:
             assert (u, v) not in self._proposed, f"product ({u}, {v}) proposed twice"
             self._proposed.add((u, v))
         value = self.left.layer_min(u) + self.right.layer_min(v)
-        heapq.heappush(self.heap, ProductTuple(value, False, u, v))
+        heapq.heappush(self.heap, ProductTuple(value, True, u, v))
 
     def propose_initial(self) -> None:
         """Seed the heap with the min tuple of product (1, 1)."""
@@ -132,7 +139,7 @@ class PairwiseState:
         self.values_generated += chunk.size
         heapq.heappush(
             self.heap,
-            ProductTuple(self.left.layer_max(u) + self.right.layer_max(v), True, u, v),
+            ProductTuple(self.left.layer_max(u) + self.right.layer_max(v), False, u, v),
         )
         self._push_min(u, 2 * v)
         self._push_min(u, 2 * v + 1)
@@ -144,7 +151,7 @@ class PairwiseState:
         """Pop one tuple; return the product size on a max pop, else 0."""
         t = heapq.heappop(self.heap)
         self.tuple_pops += 1
-        if t.is_max:
+        if not t.is_min:
             size = self.left.layer_size(t.u) * self.right.layer_size(t.v)
             self.s += size
             self.q.append((t.u, t.v))

@@ -5,8 +5,11 @@ node runs a pairwise engine over its two children and emits its own layer
 stream, so the root's layers enumerate the full sum multiset smallest first.
 Construction is lazy and generation is demand-driven: nothing is popped or
 generated until a selection asks the root for layers, and a node only asks a
-child for a layer when a proposed product needs it. The final answer is a
-linear select over the shortest root layer prefix holding at least k values.
+child for a layer when a proposed product needs it. Inner nodes emit layers
+on their own size schedule; the root, which feeds no parent, is asked for
+one layer of the whole outstanding demand in both modes. The final answer is
+a linear select over the shortest root layer prefix holding at least k
+values, which in standard mode holds exactly k once a query has run.
 """
 
 from __future__ import annotations
@@ -144,10 +147,10 @@ class InternalNode:
     """Pairwise engine over two children plus this node's own layer schedule.
 
     The layer size schedule restarts at 1 in every node. In standard mode the
-    node emits exactly the scheduled sizes until the product runs out; in
+    node emits exactly the requested sizes until the product runs out; in
     wobbly mode each emission is a value partition of at least the requested
     size. Parents drive nodes through ensure (scheduled sizes); the root is
-    driven by select_k, which in wobbly mode requests the outstanding demand
+    driven by select_k, which in both modes requests the outstanding demand
     directly through demand().
     """
 
@@ -184,11 +187,12 @@ class InternalNode:
     def demand(self, count: int):
         """Emit one layer sized by caller demand instead of the schedule.
 
-        Only the root is driven this way, and only in wobbly mode: with no
-        parent consuming a layer stream, the next layer the root needs is
-        simply the whole outstanding request, and the value partition then
-        returns every generated value under one certified bound in a single
-        emission. Returns the layer, or None once the product is exhausted.
+        Only the root is driven this way: with no parent consuming a layer
+        stream, the next layer the root needs is simply the whole outstanding
+        request. Standard mode then makes one certified selection of exactly
+        that many values; wobbly mode returns every generated value under one
+        certified bound. Returns the layer, or None once the product is
+        exhausted.
         """
         layer = self.state.generate_next_layer(count, self.mode)
         if layer is not None:
@@ -260,15 +264,15 @@ class CartesianProductTree:
                     cum += layers[j].size
                     j += 1
                     continue
-                if self.config.mode == "wobbly":
-                    if root.demand(k - cum) is None:
-                        break  # product exhausted; cum == total >= k already
-                elif not root.ensure(len(layers) + 1):
+                if root.demand(k - cum) is None:
                     break  # product exhausted; cum == total >= k already
             pool = layers[0] if j == 1 else np.concatenate(layers[:j])
         self.root_pool_size = int(pool.size)
         head, _ = linear_select(pool, k)
-        return np.sort(head) if self.config.sorted_output else head
+        if self.config.sorted_output:
+            return np.sort(head)
+        # a whole single root layer comes back as itself, and the tree keeps it
+        return head.copy() if j == 1 and head is pool else head
 
     def stats(self) -> SelectionStats:
         snap = SelectionStats()

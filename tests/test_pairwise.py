@@ -43,33 +43,35 @@ def drain(state, targets, mode):
 
 class TestTupleOrder:
     def test_value_dominates(self):
-        low = ProductTuple(4, True, 9, 9)
-        high = ProductTuple(5, False, 1, 1)
+        low = ProductTuple(4, is_min=False, u=9, v=9)
+        high = ProductTuple(5, is_min=True, u=1, v=1)
         assert tuple_order(low, high) == -1
         assert tuple_order(high, low) == 1
 
-    def test_min_pops_before_max_at_equal_value(self):
-        mn = ProductTuple(5, False, 1, 2)
-        mx = ProductTuple(5, True, 1, 1)
-        assert tuple_order(mn, mx) == -1
+    def test_max_pops_before_min_at_equal_value(self):
+        """At a tied value the max tuple pops first and certifies its product."""
+        mn = ProductTuple(5, is_min=True, u=1, v=1)
+        mx = ProductTuple(5, is_min=False, u=1, v=2)
+        assert tuple_order(mx, mn) == -1
+        assert mx.is_max and not mn.is_max
 
     def test_refs_break_remaining_ties(self):
-        a = ProductTuple(5, False, 1, 2)
-        b = ProductTuple(5, False, 2, 1)
+        a = ProductTuple(5, is_min=True, u=1, v=2)
+        b = ProductTuple(5, is_min=True, u=2, v=1)
         assert tuple_order(a, b) == -1
         assert tuple_order(a, a) == 0
 
     def test_heap_respects_order(self):
         tuples = [
-            ProductTuple(6, False, 1, 1),
-            ProductTuple(5, True, 1, 1),
-            ProductTuple(5, False, 2, 1),
+            ProductTuple(6, is_min=False, u=1, v=1),
+            ProductTuple(5, is_min=True, u=1, v=1),
+            ProductTuple(5, is_min=False, u=2, v=1),
         ]
         heapq.heapify(tuples)
-        assert heapq.heappop(tuples) == ProductTuple(5, False, 2, 1)
+        assert heapq.heappop(tuples) == ProductTuple(5, is_min=False, u=2, v=1)
 
     def test_ref_property(self):
-        assert ProductTuple(3, False, 2, 7).ref == (2, 7)
+        assert ProductTuple(3, is_min=True, u=2, v=7).ref == (2, 7)
 
 
 class TestExpandMin:
@@ -94,7 +96,7 @@ class TestExpandMin:
         state = make_state(n28, n28)
         state.left.ensure(2)
         state.right.ensure(7)
-        state.expand_min(ProductTuple(0, False, 2, 3))
+        state.expand_min(ProductTuple(0, is_min=True, u=2, v=3))
         assert heap_refs(state) == {(2, 3, True), (2, 6, False), (2, 7, False)}
 
     def test_proposals_past_last_layer_are_skipped(self):
@@ -102,14 +104,14 @@ class TestExpandMin:
         state = make_state([1, 2, 3, 4, 5, 6], [1, 2, 3, 4, 5, 6])
         state.left.ensure(1)
         state.right.ensure(2)
-        state.expand_min(ProductTuple(0, False, 1, 2))
+        state.expand_min(ProductTuple(0, is_min=True, u=1, v=2))
         assert heap_refs(state) == {(1, 2, True)}
 
     def test_generates_the_product_block(self):
         state = make_state([1, 2, 3, 4, 5, 6], [10, 20, 30, 40, 50, 60])
         state.left.ensure(2)
         state.right.ensure(2)
-        state.expand_min(ProductTuple(0, False, 2, 2))
+        state.expand_min(ProductTuple(0, is_min=True, u=2, v=2))
         assert state.values_generated == 4
         np.testing.assert_array_equal(
             np.sort(np.concatenate(state.carry)), [22, 23, 32, 33]
@@ -125,12 +127,12 @@ class TestGenerateNextLayer:
         assert state.is_exhausted
 
     def test_wobbly_trace_two_by_two(self):
-        """A target of 2 certifies bound 5, so the tie band comes out whole."""
+        """A target of 2 certifies bound 5 as soon as one 5 is generated:
+        the max tuple of (1, 2) pops before the tied min of (2, 1), so the
+        second 5 waits for the next layer."""
         state = make_state([1, 2], [3, 4])
         layers = drain(state, [2] * 10, "wobbly")
-        assert sorted(layers[0].tolist()) == [4, 5, 5]
-        assert layers[1].tolist() == [6]
-        assert len(layers) == 2
+        assert [sorted(layer.tolist()) for layer in layers] == [[4, 5], [5, 6]]
         assert state.is_exhausted
 
     def test_singleton_product(self):

@@ -1,6 +1,10 @@
 """Tests for the balanced selection tree over m input arrays."""
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -126,8 +130,10 @@ class TestSelectK:
         full = brute_multi(arrays, total)
         tree = build_tree(arrays, TreeConfig(mode=mode))
         for k in (1, 2, total // 2, total):
-            got = np.sort(build_tree(arrays, TreeConfig(mode=mode)).select_k(k))
-            np.testing.assert_array_equal(got, full[:k])
+            fresh = build_tree(arrays, TreeConfig(mode=mode))
+            np.testing.assert_array_equal(np.sort(fresh.select_k(k)), full[:k])
+            if mode == "standard":
+                assert fresh.stats().root_pool_size == k
         np.testing.assert_array_equal(np.sort(tree.select_k(total)), full)
 
     def test_modes_agree(self):
@@ -217,19 +223,96 @@ class TestLaziness:
 
 
 class TestWobblyCascade:
-    def test_all_equal_inputs_emit_everything_at_once(self):
-        """Total ties collapse the value partition into one full-product band."""
+    def test_all_equal_inputs_stay_bounded(self):
+        """Total ties do not flood the root: max tuples certify each tied
+        product before its neighbours are expanded."""
         zeros = [np.zeros(2, dtype=np.int64) for _ in range(8)]
         tree = build_tree(zeros, TreeConfig(mode="wobbly"))
         out = tree.select_k(2)
-        assert (out == 0).all()
-        assert tree.stats().root_pool_size == 256
+        assert (out == 0).all() and out.size == 2
+        snap = tree.stats()
+        assert snap.root_pool_size <= 4
+        assert snap.values_generated <= 64
 
     def test_standard_stays_on_schedule_for_ties(self):
+        """Standard mode selects exactly the outstanding demand at the root."""
         zeros = [np.zeros(2, dtype=np.int64) for _ in range(8)]
         tree = build_tree(zeros, TreeConfig(mode="standard"))
         tree.select_k(2)
-        assert tree.stats().root_pool_size == 3
+        assert tree.stats().root_pool_size == 2
+
+    @pytest.mark.parametrize(
+        "arrays",
+        [
+            [np.random.default_rng(0).integers(0, 8, size=256) for _ in range(6)],
+            [np.zeros(16, dtype=np.int64)] * 8,
+        ],
+        ids=["low-cardinality", "all-zero"],
+    )
+    def test_heavy_ties_fit_under_a_memory_cap(self, arrays):
+        """Heavy ties select k=10 in both modes under a 1.5 GB address-space cap
+        (run in a child process so the cap binds nothing else)."""
+        pytest.importorskip("resource")
+        script = textwrap.dedent(
+            """
+            import resource, sys
+            import numpy as np
+            from cartsel.tree import TreeConfig, build_tree
+
+            cap = 1_500_000_000
+            resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+            arrays = [np.array(line.split(), dtype=np.int64) for line in sys.stdin]
+            for mode in ("standard", "wobbly"):
+                tree = build_tree(arrays, TreeConfig(mode=mode))
+                assert (tree.select_k(10) == 0).all(), mode
+                assert tree.stats().values_generated < 10_000, mode
+            """
+        )
+        data = "\n".join(" ".join(map(str, a)) for a in arrays)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run(
+            [sys.executable, "-c", script], input=data, env=env,
+            capture_output=True, text=True, timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+
+
+def _buffer_nbytes(arr):
+    """Size of the buffer that keeps arr alive: its own, or its base's."""
+    while isinstance(arr.base, np.ndarray):
+        arr = arr.base
+    return arr.nbytes
+
+
+class TestMemoryPinning:
+    @pytest.mark.parametrize("mode", ("standard", "wobbly"))
+    def test_kept_arrays_pin_no_larger_buffer(self, mode):
+        """No emitted layer or answer holds a view into a larger array."""
+        arrays = seeded_arrays(14, 4, 40, hi=1000)
+        tree = build_tree(arrays, TreeConfig(mode=mode))
+        for k in (1, 50, 3000, 2_560_000):
+            answer = tree.select_k(k)
+            assert _buffer_nbytes(answer) == answer.nbytes
+        for node in tree.internals:
+            for layer in node.layers:
+                assert _buffer_nbytes(layer) == layer.nbytes
+
+    @pytest.mark.parametrize("mode", ("standard", "wobbly"))
+    def test_answer_does_not_alias_the_tree(self, mode):
+        """Overwriting an answer leaves later selections intact."""
+        arrays = seeded_arrays(15, 3, 9)
+        tree = build_tree(arrays, TreeConfig(mode=mode))
+        for k in (1, 40, 729):
+            tree.select_k(k)[:] = -1
+            np.testing.assert_array_equal(
+                np.sort(tree.select_k(k)), brute_multi(arrays, k)
+            )
+
+    def test_single_array_answer_copies_out_of_the_heap(self):
+        tree = build_tree([np.arange(100, dtype=np.int64)])
+        for k in (1, 3, 100):
+            answer = tree.select_k(k)
+            assert _buffer_nbytes(answer) == answer.nbytes
 
 
 class TestNodeEnsureLayer:
