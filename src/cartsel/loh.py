@@ -11,6 +11,10 @@ Construction partitions the array in place with numpy's introselect at each
 cumulative layer boundary, walking from the last boundary toward the first.
 The prefix sizes decay geometrically, so total work is linear in n for fixed
 alpha.
+
+The selection primitives reorder the pool they are given in place and copy
+out only the head a caller keeps. A built heap's values are read-only, so a
+selection over a prefix of them copies it instead of mixing its layers.
 """
 
 from __future__ import annotations
@@ -152,15 +156,15 @@ def unify_profile(arrays: list[np.ndarray]) -> list[np.ndarray]:
 
 
 def linear_select(pool, k) -> tuple[np.ndarray, np.ndarray]:
-    """Partition pool so a k-smallest multiset comes first.
+    """Partition pool in place so a k-smallest multiset comes first.
 
     Returns (head, tail): head holds k values forming a smallest-k multiset
     of the pool, tail holds the rest; neither is in any particular order.
-    One np.partition call: introselect, whose median-of-medians fallback
-    keeps the worst case linear. The head owns its data, because callers keep
-    it (an emitted layer lives as long as the tree) and a view would pin the
-    whole partitioned pool; the tail is a view, reused only as the next carry.
-    The pool itself is not modified.
+    One ndarray.partition call reorders the pool itself (a read-only pool is
+    copied first): introselect, whose median-of-medians fallback keeps the
+    worst case linear. The head owns its data, because callers keep it (an
+    emitted layer lives as long as the tree) and a view would pin the whole
+    pool; the tail is a view into the pool, reused only as the next carry.
     """
     arr = np.asarray(pool)
     n = arr.size
@@ -171,12 +175,18 @@ def linear_select(pool, k) -> tuple[np.ndarray, np.ndarray]:
         return arr[:0], arr
     if k == n:
         return (arr if arr.base is None else arr.copy()), arr[:0]
-    part = np.partition(arr, k - 1)
-    return part[:k].copy(), part[k:]
+    if not arr.flags.writeable:
+        arr = arr.copy()
+    arr.partition(k - 1)
+    return arr[:k].copy(), arr[k:]
 
 
 def partition_by_value(pool, bound) -> tuple[np.ndarray, np.ndarray]:
-    """Split pool into (values <= bound, values > bound) in one masking pass."""
+    """Split pool in place into (values <= bound, values > bound).
+
+    The values <= bound are the pool's count smallest, ties included, so this
+    is linear_select(pool, count).
+    """
     arr = np.asarray(pool)
     if arr.ndim != 1:
         raise ContractError(f"pool must be one-dimensional, got shape {arr.shape}")
@@ -186,8 +196,7 @@ def partition_by_value(pool, bound) -> tuple[np.ndarray, np.ndarray]:
         raise ContractError(f"bound must be numeric, got {type(bound).__name__}")
     if bad:
         raise ContractError("bound must not be NaN")
-    mask = arr <= bound
-    return arr[mask], arr[~mask]
+    return linear_select(arr, np.count_nonzero(arr <= bound))
 
 
 @dataclass
@@ -242,7 +251,7 @@ def lohify(values, config: LohConfig | None = None) -> LayerOrderedHeap:
 
     The working copy is partitioned in place at each layer boundary, from the
     last boundary toward the first; the prefixes shrink geometrically, so
-    total work stays linear in len(values).
+    total work stays linear in len(values). The values end up read-only.
     """
     cfg = config if config is not None else LohConfig()
     arr = as_value_array(values)
@@ -253,6 +262,7 @@ def lohify(values, config: LohConfig | None = None) -> LayerOrderedHeap:
     for b in bounds[-2::-1]:
         work[:end].partition(int(b) - 1)
         end = int(b)
+    work.flags.writeable = False
     return LayerOrderedHeap(work, bounds, cfg)
 
 

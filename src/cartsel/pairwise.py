@@ -14,8 +14,9 @@ product now precedes everything not yet generated.
 Layers are emitted from the carry buffer once enough values are certified:
 standard mode takes exactly the requested count with a linear select, wobbly
 mode takes every carry value at or below the certifying bound in one value
-partition. Unemitted values stay in the carry for the next emission, so no
-value is ever dropped or duplicated.
+partition. Both partition the concatenated carry in place and copy out only
+the emitted layer; the unemitted values stay behind as a view into that pool
+and form the next carry, so no value is ever dropped or duplicated.
 """
 
 from __future__ import annotations
@@ -95,7 +96,6 @@ class PairwiseState:
         # generated; emissions may drive it negative, and the deficit is
         # repaid when the straddled products' max tuples pop.
         self.s = 0
-        self.q: list[tuple[int, int]] = []
         self.layers: list[np.ndarray] = []
         self.layer_mins: list = []
         self.layer_maxs: list = []
@@ -103,7 +103,6 @@ class PairwiseState:
         self.started = False
         self.values_generated = 0
         self.tuple_pops = 0
-        self._proposed = set() if __debug__ else None
 
     @property
     def is_exhausted(self) -> bool:
@@ -111,15 +110,9 @@ class PairwiseState:
 
     def _push_min(self, u: int, v: int) -> None:
         """Propose product (u, v): materialize the layers it needs, or skip."""
-        if not self.left.ensure(u):
-            return
-        if not self.right.ensure(v):
-            return
-        if self._proposed is not None:
-            assert (u, v) not in self._proposed, f"product ({u}, {v}) proposed twice"
-            self._proposed.add((u, v))
-        value = self.left.layer_min(u) + self.right.layer_min(v)
-        heapq.heappush(self.heap, ProductTuple(value, True, u, v))
+        if self.left.ensure(u) and self.right.ensure(v):
+            value = self.left.layer_min(u) + self.right.layer_min(v)
+            heapq.heappush(self.heap, ProductTuple(value, True, u, v))
 
     def propose_initial(self) -> None:
         """Seed the heap with the min tuple of product (1, 1)."""
@@ -154,7 +147,6 @@ class PairwiseState:
         if not t.is_min:
             size = self.left.layer_size(t.u) * self.right.layer_size(t.v)
             self.s += size
-            self.q.append((t.u, t.v))
             self.last_max_value = t.value
             return size
         self.expand_min(t)
@@ -199,26 +191,24 @@ class PairwiseState:
             if self.carry_count == 0:
                 return None
             pool = self._carry_pool()
-            layer, rest = linear_select(pool, min(target, self.carry_count))
-            return self._emit(layer, rest)
+            return self._emit(*linear_select(pool, min(target, self.carry_count)))
         need = target
         while True:
             closed = 0
             while closed < need and heap:
                 closed += self._pop_one()
-            if not heap:
-                if self.carry_count == 0:
-                    return None
-                # product exhausted: everything left is the final layer
-                pool = self._carry_pool()
-                return self._emit(pool, np.empty(0, dtype=pool.dtype))
             if self.carry_count:
-                layer, rest = partition_by_value(self._carry_pool(), self.last_max_value)
-                if layer.size >= target:
+                pool = self._carry_pool()
+                layer, rest = partition_by_value(pool, self.last_max_value)
+                # an empty heap leaves every value under the bound: final layer
+                if layer.size >= target or not heap:
                     return self._emit(layer, rest)
-                # a tie band came up short: certify further until the band
-                # holds the scheduled count or the product runs out
+                # a tie band came up short: keep the pool as the carry and
+                # certify until the band holds target or the product runs out
+                self.carry = [pool]
                 need = target - int(layer.size)
+            elif not heap:
+                return None
             else:
                 need = target
 

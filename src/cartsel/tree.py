@@ -87,8 +87,6 @@ class LayerProvider(Protocol):
 
     def ensure(self, i: int) -> bool: ...
 
-    def can_ever(self, i: int) -> bool: ...
-
     def peek_layer(self, i: int): ...
 
     def layer_min(self, i: int): ...
@@ -102,32 +100,31 @@ class LeafNode:
     """Layer provider over a prebuilt layer-ordered heap.
 
     Exposing a layer is O(1): the cursor only records how deep callers have
-    reached, which is what the laziness accounting reports.
+    reached, which is what the laziness accounting reports. Layers are sliced
+    from the heap's values at offsets held as Python ints.
     """
 
-    __slots__ = ("loh", "label", "cursor", "_mins", "_maxs", "_sizes")
+    __slots__ = ("loh", "label", "cursor", "_ends", "_mins", "_maxs")
 
     def __init__(self, loh: LayerOrderedHeap, label: str = "leaf"):
         self.loh = loh
         self.label = label
         self.cursor = 0
+        self._ends = [0, *loh.boundaries.tolist()]
         self._mins = loh.layer_mins.tolist()
         self._maxs = loh.layer_maxs.tolist()
-        bounds = loh.boundaries
-        self._sizes = np.diff(bounds, prepend=0).tolist()
-
-    def can_ever(self, i: int) -> bool:
-        return 1 <= i <= self.loh.n_layers
 
     def ensure(self, i: int) -> bool:
-        if i > self.loh.n_layers:
+        if i >= len(self._ends):
             return False
         if i > self.cursor:
             self.cursor = i
         return True
 
     def peek_layer(self, i: int):
-        return self.loh.layer(i) if i <= self.cursor else None
+        if i > self.cursor:
+            return None
+        return self.loh.values[self._ends[i - 1] : self._ends[i]]
 
     def layer_min(self, i: int):
         return self._mins[i - 1]
@@ -136,11 +133,11 @@ class LeafNode:
         return self._maxs[i - 1]
 
     def layer_size(self, i: int) -> int:
-        return self._sizes[i - 1]
+        return self._ends[i] - self._ends[i - 1]
 
     @property
     def exposed_values(self) -> int:
-        return int(self.loh.boundaries[self.cursor - 1]) if self.cursor else 0
+        return self._ends[self.cursor]
 
 
 class InternalNode:
@@ -170,9 +167,6 @@ class InternalNode:
     @property
     def n_layers(self) -> int:
         return len(self.state.layers)
-
-    def can_ever(self, i: int) -> bool:
-        return i <= self.n_layers or not self.state.is_exhausted
 
     def ensure(self, i: int) -> bool:
         state = self.state
@@ -268,6 +262,8 @@ class CartesianProductTree:
                     break  # product exhausted; cum == total >= k already
             pool = layers[0] if j == 1 else np.concatenate(layers[:j])
         self.root_pool_size = int(pool.size)
+        # in place on a root layer or a fresh concatenation; a leaf root's
+        # heap values are read-only, so linear_select copies them first
         head, _ = linear_select(pool, k)
         if self.config.sorted_output:
             return np.sort(head)

@@ -175,15 +175,28 @@ class TestLinearSelect:
     def test_deterministic(self):
         rng = np.random.default_rng(3)
         pool = rng.integers(0, 1000, size=512).astype(np.int64)
-        h1, t1 = linear_select(pool, 100)
-        h2, t2 = linear_select(pool, 100)
+        h1, t1 = linear_select(pool.copy(), 100)
+        h2, t2 = linear_select(pool.copy(), 100)
         np.testing.assert_array_equal(h1, h2)
         np.testing.assert_array_equal(t1, t2)
 
-    def test_input_not_mutated(self):
+    def test_partitions_in_place(self):
+        """The pool becomes a permutation of itself with the head first; the
+        tail is a view into it and the head a copy of its first k values."""
         pool = np.array([5, 1, 4, 2, 3] * 30, dtype=np.int64)
         snapshot = pool.copy()
-        linear_select(pool, 70)
+        head, tail = linear_select(pool, 70)
+        np.testing.assert_array_equal(np.sort(pool), np.sort(snapshot))
+        np.testing.assert_array_equal(pool[:70], head)
+        assert tail.base is pool and tail.size == 80
+        assert head.base is None and not np.shares_memory(head, pool)
+
+    def test_read_only_pool_is_left_untouched(self):
+        pool = np.array([5, 1, 4, 2, 3] * 30, dtype=np.int64)
+        snapshot = pool.copy()
+        pool.flags.writeable = False
+        for k in (1, 70, 150):
+            self._check(pool, k)
         np.testing.assert_array_equal(pool, snapshot)
 
     def test_k_out_of_range(self):
@@ -222,6 +235,29 @@ class TestPartitionByValue:
             np.sort(np.concatenate((head, tail))), np.sort(pool)
         )
         assert (head <= 4).all() and (tail > 4).all()
+
+    def test_partitions_in_place(self):
+        """Every value equal to the bound lands in the head; the pool is
+        reordered in place and the tail is a view into it."""
+        pool = np.array([3, 2, 5, 2, 1, 2, 4, 2], dtype=np.int64)
+        head, tail = partition_by_value(pool, 2)
+        np.testing.assert_array_equal(np.sort(head), [1, 2, 2, 2, 2])
+        np.testing.assert_array_equal(np.sort(tail), [3, 4, 5])
+        np.testing.assert_array_equal(pool[:5], head)
+        assert tail.base is pool and head.base is None
+
+    def test_short_band_leaves_the_pool_whole(self):
+        """A head too small for the caller is dropped: the reordered pool
+        still holds every value and splits again at a later bound."""
+        rng = np.random.default_rng(17)
+        pool = rng.integers(0, 6, size=300).astype(np.int64)
+        snapshot = np.sort(pool)
+        head, _ = partition_by_value(pool, 0)
+        assert head.size == np.count_nonzero(snapshot == 0)
+        np.testing.assert_array_equal(np.sort(pool), snapshot)
+        head, tail = partition_by_value(pool, 3)
+        np.testing.assert_array_equal(np.sort(head), snapshot[snapshot <= 3])
+        np.testing.assert_array_equal(np.sort(tail), snapshot[snapshot > 3])
 
     def test_nan_bound_rejected(self):
         with pytest.raises(ContractError):
@@ -268,6 +304,14 @@ class TestLohify:
             heap.layer(0)
         with pytest.raises(ContractError):
             heap.layer(heap.n_layers + 1)
+
+    def test_values_are_read_only(self):
+        """In-place selections over a heap's values copy them instead."""
+        heap = lohify(np.random.default_rng(10).integers(0, 1000, size=500))
+        snapshot = heap.values.copy()
+        assert not heap.values.flags.writeable
+        linear_select(heap.values[:300], 250)
+        np.testing.assert_array_equal(heap.values, snapshot)
 
     def test_adversarial_inputs_keep_structure(self):
         """Sorted, reversed, all-equal and random inputs build valid heaps

@@ -1,10 +1,12 @@
 """Tests for the incremental pairwise sum-selection engine."""
 
 import heapq
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import cartsel.pairwise as pairwise_mod
 from cartsel.errors import ConfigError, ContractError
 from cartsel.loh import LohConfig, lohify
 from cartsel.oracle import brute_pairwise
@@ -15,7 +17,7 @@ from cartsel.pairwise import (
     select_pairwise,
     tuple_order,
 )
-from cartsel.tree import LeafNode
+from cartsel.tree import LeafNode, TreeConfig, build_tree
 
 
 def make_state(a, b, alpha=1.1):
@@ -116,6 +118,34 @@ class TestExpandMin:
         np.testing.assert_array_equal(
             np.sort(np.concatenate(state.carry)), [22, 23, 32, 33]
         )
+
+
+class TestProposals:
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("hi", (4, 1 << 20))
+    def test_no_product_is_proposed_twice(self, monkeypatch, mode, hi):
+        """Every (u, v) pushed as a min tuple is pushed once per engine, on
+        random and tie-heavy inputs, through whole trees and full drains."""
+        pushed = []
+
+        def heappush(heap, item):
+            if item.is_min:
+                pushed.append((id(heap), item.u, item.v))
+            heapq.heappush(heap, item)
+
+        monkeypatch.setattr(
+            pairwise_mod, "heapq", SimpleNamespace(heappush=heappush, heappop=heapq.heappop)
+        )
+        rng = np.random.default_rng(hi)
+        arrays = [rng.integers(0, hi, size=n) for n in (24, 17, 30, 9)]
+        tree = build_tree(arrays, TreeConfig(mode=mode))
+        for k in (1, 40, 900, 5000):
+            tree.select_k(k)
+        state = make_state(arrays[0], arrays[1])
+        drain(state, [7] * 1000, mode)
+        assert state.is_exhausted
+        assert len(pushed) > 100
+        assert len(set(pushed)) == len(pushed)
 
 
 class TestGenerateNextLayer:

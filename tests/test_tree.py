@@ -15,6 +15,7 @@ from cartsel.errors import (
     EmptyInputError,
     InvalidValueError,
 )
+from cartsel.loh import verify_loh
 from cartsel.oracle import brute_multi
 from cartsel.tree import (
     TreeConfig,
@@ -122,6 +123,15 @@ class TestSelectK:
         np.testing.assert_array_equal(np.sort(tree.select_k(3)), [1, 3, 5])
         assert tree.stats().root_pool_size >= 3
 
+    def test_single_array_heap_survives_selection(self):
+        """Selecting from a leaf root leaves its heap's layers in order."""
+        vals = np.random.default_rng(13).integers(0, 1000, size=2000)
+        full = np.sort(vals)
+        tree = build_tree([vals])
+        for k in (37, 5, 777, 1500, 2000):
+            np.testing.assert_array_equal(np.sort(tree.select_k(k)), full[:k])
+            assert verify_loh(tree.root.loh)
+
     @pytest.mark.parametrize("mode", ("standard", "wobbly"))
     def test_oracle_sweep_mixed_lengths(self, mode):
         """Uneven input sizes against exhaustive enumeration in both modes."""
@@ -201,6 +211,32 @@ class TestSelectK:
             np.sort(select_k(tree, 10)), np.sort(tree.select_k(10))
         )
         assert stats(tree).values_generated == tree.stats().values_generated
+
+
+class TestWorkIsPinned:
+    """Counters pinned on fixed instances: how values are laid out in the
+    carry must not change which products are generated or popped."""
+
+    @pytest.mark.parametrize(
+        "name, mode, generated, pops",
+        [
+            ("random", "standard", 2415, 292),
+            ("random", "wobbly", 3519, 221),
+            ("ties", "standard", 1053, 158),
+            ("ties", "wobbly", 1178, 165),
+        ],
+    )
+    def test_values_generated_and_pops(self, name, mode, generated, pops):
+        if name == "random":
+            rng = np.random.default_rng(31)
+            arrays, k = [rng.integers(0, 1 << 20, size=48) for _ in range(4)], 700
+        else:
+            rng = np.random.default_rng(32)
+            arrays, k = [rng.integers(0, 4, size=30) for _ in range(3)], 400
+        tree = build_tree(arrays, TreeConfig(mode=mode))
+        np.testing.assert_array_equal(np.sort(tree.select_k(k)), brute_multi(arrays, k))
+        snap = tree.stats()
+        assert (snap.values_generated, snap.tuple_pops) == (generated, pops)
 
 
 class TestLaziness:
