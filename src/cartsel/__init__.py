@@ -32,7 +32,6 @@ from .tree import (
     SelectionStats,
     TreeConfig,
     build_tree,
-    guard_constants,
     select_k,
     stats,
 )
@@ -58,7 +57,6 @@ __all__ = [
     "brute_multi",
     "brute_pairwise",
     "build_tree",
-    "guard_constants",
     "layer_size_schedule",
     "layer_sizes",
     "linear_select",

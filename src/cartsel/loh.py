@@ -7,10 +7,12 @@ holds exactly one value and sizes grow geometrically with a rank alpha > 1
 through the recurrence s(1) = 1, s(i+1) = ceil(alpha * s(i)); the final
 layer is truncated so the sizes sum to n exactly.
 
-Construction partitions the array in place with numpy's introselect at each
-cumulative layer boundary, walking from the last boundary toward the first.
-The prefix sizes decay geometrically, so total work is linear in n for fixed
-alpha.
+Construction places the layer boundaries by divide and conquer: a span is
+partitioned in place at the boundary nearest its middle and each side is
+recursed on, and a span holding many boundaries for its size is sorted whole.
+Each level of the recursion moves at most n values, and a value is moved
+at about log2(1/(alpha-1)) levels, so total work is
+O(n max(1, log(1/(alpha-1)))), linear in n for fixed alpha.
 
 The selection primitives reorder the pool they are given in place and copy
 out only the head a caller keeps. A built heap's values are read-only, so a
@@ -20,6 +22,7 @@ selection over a prefix of them copies it instead of mixing its layers.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -115,7 +118,11 @@ def layer_sizes(alpha, n) -> list[int]:
 
 
 def as_value_array(values, *, name="input") -> np.ndarray:
-    """Coerce one input to the numeric profile (int64 or float64) and check it."""
+    """Coerce one input to the numeric profile (int64 or float64) and check it.
+
+    An input already in the profile may come back as itself, not a copy:
+    callers must not write to the result.
+    """
     arr = np.asarray(values)
     if arr.ndim != 1:
         raise ContractError(f"{name} must be one-dimensional, got shape {arr.shape}")
@@ -127,9 +134,9 @@ def as_value_array(values, *, name="input") -> np.ndarray:
             raise InvalidValueError(f"{name} holds unsigned values beyond int64 range")
         return arr.astype(np.int64)
     if kind in "ib":
-        return arr.astype(np.int64)
+        return arr.astype(np.int64, copy=False)
     if kind == "f":
-        out = arr.astype(np.float64)
+        out = arr.astype(np.float64, copy=False)
         if np.isnan(out).any():
             raise InvalidValueError(f"{name} contains NaN")
         return out
@@ -225,43 +232,45 @@ class LayerOrderedHeap:
         starts[1:] = self.boundaries[:-1]
         return starts
 
-    @property
-    def n_layers(self) -> int:
-        return len(self.boundaries)
 
-    def layer(self, i) -> np.ndarray:
-        if not 1 <= i <= self.n_layers:
-            raise ContractError(f"layer {i} out of range [1, {self.n_layers}]")
-        start = 0 if i == 1 else int(self.boundaries[i - 2])
-        return self.values[start : int(self.boundaries[i - 1])]
-
-    def layer_size(self, i) -> int:
-        start = 0 if i == 1 else int(self.boundaries[i - 2])
-        return int(self.boundaries[i - 1]) - start
-
-    def layer_min(self, i):
-        return self.layer_mins[i - 1].item()
-
-    def layer_max(self, i):
-        return self.layer_maxs[i - 1].item()
+# A span no longer than this many times the number of layer boundaries inside
+# it is sorted whole rather than split further: one sort beats a partition
+# call per boundary on short spans, such as the front layers at small alpha
+# or a whole 256-value input at the default rank.
+DENSE_SPAN = 16
 
 
 def lohify(values, config: LohConfig | None = None) -> LayerOrderedHeap:
     """Build a layer-ordered heap over values; the multiset is preserved.
 
-    The working copy is partitioned in place at each layer boundary, from the
-    last boundary toward the first; the prefixes shrink geometrically, so
-    total work stays linear in len(values). The values end up read-only.
+    The input is copied once and never written. The copy is reordered in
+    place by divide and conquer over the layer boundaries: a span is
+    partitioned at the boundary nearest its middle and both sides are split
+    in turn, until a span holds no boundary or is dense enough to sort
+    whole. Each level moves at most len(values) elements, so the work is
+    O(n max(1, log(1/(alpha-1)))). The values end up read-only.
     """
     cfg = config if config is not None else LohConfig()
-    arr = as_value_array(values)
-    sizes = layer_sizes(cfg.alpha, len(arr))
-    bounds = np.cumsum(sizes, dtype=np.int64)
-    work = arr.copy()
-    end = len(work)
-    for b in bounds[-2::-1]:
-        work[:end].partition(int(b) - 1)
-        end = int(b)
+    work = as_value_array(values).copy()
+    bounds = np.cumsum(layer_sizes(cfg.alpha, len(work)), dtype=np.int64)
+    cuts = bounds[:-1].tolist()
+    # (lo, hi, c0, c1): cuts[c0:c1] are the boundaries strictly inside [lo, hi)
+    spans = [(0, len(work), 0, len(cuts))]
+    while spans:
+        lo, hi, c0, c1 = spans.pop()
+        if c0 == c1:
+            continue
+        if hi - lo <= DENSE_SPAN * (c1 - c0):
+            work[lo:hi].sort()
+            continue
+        mid = (lo + hi) // 2
+        j = bisect_left(cuts, mid, c0, c1)
+        if j == c1 or (j > c0 and mid - cuts[j - 1] < cuts[j] - mid):
+            j -= 1
+        cut = cuts[j]
+        work[lo:hi].partition(cut - lo)
+        spans.append((lo, cut, c0, j))
+        spans.append((cut, hi, j + 1, c1))
     work.flags.writeable = False
     return LayerOrderedHeap(work, bounds, cfg)
 
@@ -278,8 +287,7 @@ def verify_loh(heap: LayerOrderedHeap) -> bool:
         return False
     if not np.array_equal(bounds, np.cumsum(sizes)):
         return False
-    starts = np.zeros(len(bounds), dtype=np.int64)
-    starts[1:] = bounds[:-1]
+    starts = heap._starts()
     mins = np.minimum.reduceat(vals, starts)
     maxs = np.maximum.reduceat(vals, starts)
     return bool(np.all(maxs[:-1] <= mins[1:]))

@@ -15,7 +15,6 @@ values, which in standard mode holds exactly k once a query has run.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Protocol
@@ -42,19 +41,10 @@ __all__ = [
     "SelectionStats",
     "TreeConfig",
     "build_tree",
-    "guard_constants",
     "node_ensure_layer",
     "select_k",
     "stats",
 ]
-
-
-def guard_constants() -> tuple[float, float]:
-    """Work guardrail constants (G, G0); env vars override for stats assertions."""
-    return (
-        float(os.environ.get("CARTSEL_GUARD_G", "8")),
-        float(os.environ.get("CARTSEL_GUARD_G0", "64")),
-    )
 
 
 @dataclass(frozen=True)

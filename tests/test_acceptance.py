@@ -16,7 +16,8 @@ from cartsel.cli import run_bench, run_verification
 from cartsel.loh import LohConfig, layer_sizes, lohify, verify_loh
 from cartsel.oracle import brute_multi, brute_pairwise
 from cartsel.pairwise import select_pairwise
-from cartsel.tree import TreeConfig, build_tree, guard_constants
+from cartsel.tree import TreeConfig, build_tree
+from conftest import G, G0
 
 ALPHA = 1.1
 
@@ -141,7 +142,6 @@ class TestCriterion5:
 class TestCriterion6:
     def test_root_pool_guardrail(self):
         """Standard stays near k at the root; wobbly floods past ten times k."""
-        g, g0 = guard_constants()
         k = 256
         rng = np.random.default_rng(1087)
         arrays = [rng.integers(0, 1 << 30, size=32, dtype=np.int64) for _ in range(256)]
@@ -150,7 +150,7 @@ class TestCriterion6:
             tree = build_tree(arrays, TreeConfig(alpha=ALPHA, mode=mode))
             tree.select_k(k)
             pools[mode] = tree.stats().root_pool_size
-        hi = g * ALPHA * ALPHA * k + g0
+        hi = G * ALPHA * ALPHA * k + G0
         ok = k <= pools["standard"] <= hi and pools["wobbly"] > 10 * k
         assert report(
             6,

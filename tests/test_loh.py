@@ -23,8 +23,12 @@ from cartsel.loh import (
     unify_profile,
     verify_loh,
 )
+from conftest import assert_layers_are_rank_slices
 
 ALPHAS = (1.05, 1.1, 2, 4, Fraction(11, 10), "1.1")
+# Extreme and coarse ranks too: 5000 values make 100 layers at 1.001 and at
+# 101/100, and 4 layers at 64.
+BUILD_ALPHAS = (*ALPHAS, 1.001, "101/100", 64)
 
 
 class TestLayerSizeSchedule:
@@ -283,13 +287,38 @@ class TestLohify:
     def test_layers_are_value_ordered(self):
         rng = np.random.default_rng(7)
         heap = lohify(rng.random(500))
-        for i in range(1, heap.n_layers):
-            assert heap.layer_max(i) <= heap.layer_min(i + 1)
+        assert (heap.layer_maxs[:-1] <= heap.layer_mins[1:]).all()
 
     def test_layer_sizes_match_schedule(self):
         heap = lohify(np.arange(60, dtype=np.int64)[::-1], LohConfig(1.1))
-        got = [heap.layer_size(i) for i in range(1, heap.n_layers + 1)]
-        assert got == layer_sizes(1.1, 60)
+        assert np.diff(heap.boundaries, prepend=0).tolist() == layer_sizes(1.1, 60)
+
+    @pytest.mark.parametrize("alpha", BUILD_ALPHAS)
+    def test_layers_hold_their_rank_slices(self, alpha):
+        """Each layer, sorted, is its slice of the sorted input, on inputs
+        that are random, sorted, reversed, all equal and low-cardinality."""
+        rng = np.random.default_rng(11)
+        cfg = LohConfig(alpha)
+        for n in (1, 2, 3, 17, 1000, 5000):
+            for vals in (
+                rng.integers(-(1 << 40), 1 << 40, size=n),
+                np.sort(rng.random(n)),
+                np.arange(n, dtype=np.int64)[::-1].copy(),
+                np.full(n, -3, dtype=np.int64),
+                rng.integers(0, 4, size=n),
+            ):
+                assert_layers_are_rank_slices(lohify(vals, cfg), vals)
+
+    @pytest.mark.parametrize("dtype", (np.int64, np.float64))
+    def test_input_is_never_written_or_shared(self, dtype):
+        """The input is copied once and only the copy is reordered."""
+        rng = np.random.default_rng(12)
+        for n in (1, 300, 5000):
+            vals = rng.integers(-1000, 1000, size=n).astype(dtype)
+            snapshot = vals.tobytes()
+            heap = lohify(vals, LohConfig(1.01))
+            assert vals.tobytes() == snapshot
+            assert not np.shares_memory(heap.values, vals)
 
     def test_deterministic(self):
         rng = np.random.default_rng(8)
@@ -297,13 +326,6 @@ class TestLohify:
         h1, h2 = lohify(vals), lohify(vals)
         np.testing.assert_array_equal(h1.values, h2.values)
         np.testing.assert_array_equal(h1.boundaries, h2.boundaries)
-
-    def test_layer_accessor_bounds(self):
-        heap = lohify(np.arange(10, dtype=np.int64))
-        with pytest.raises(ContractError):
-            heap.layer(0)
-        with pytest.raises(ContractError):
-            heap.layer(heap.n_layers + 1)
 
     def test_values_are_read_only(self):
         """In-place selections over a heap's values copy them instead."""

@@ -18,6 +18,7 @@ from cartsel.pairwise import (
     tuple_order,
 )
 from cartsel.tree import LeafNode, TreeConfig, build_tree
+from conftest import G, G0
 
 
 def make_state(a, b, alpha=1.1):
@@ -236,9 +237,7 @@ class TestGenerateNextLayer:
     def test_standard_work_guardrail(self):
         """Per emission, generated values stay within the pinned linear envelope."""
         from cartsel.loh import layer_size_schedule
-        from cartsel.tree import guard_constants
 
-        g, g0 = guard_constants()
         rng = np.random.default_rng(14)
         a = rng.integers(0, 1 << 30, size=512).astype(np.int64)
         b = rng.integers(0, 1 << 30, size=512).astype(np.int64)
@@ -251,7 +250,7 @@ class TestGenerateNextLayer:
             layer = state.generate_next_layer(target, "standard")
             assert layer is not None
             delta = state.values_generated - before
-            assert delta <= g * 1.1 * 1.1 * target + g0
+            assert delta <= G * 1.1 * 1.1 * target + G0
             emitted += layer.size
 
 

@@ -1,4 +1,5 @@
-"""Property tests: both modes return exactly the brute-force multiset.
+"""Property tests: both modes return exactly the brute-force multiset, and
+every layer-ordered heap holds the rank slices of its input.
 
 Inputs are drawn from the families that stress ties and ranges: few distinct
 values, negatives, magnitudes at the int64 limit for m summands, and ragged
@@ -11,9 +12,11 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cartsel.loh import LohConfig, lohify
 from cartsel.oracle import brute_multi
 from cartsel.pairwise import MODES
 from cartsel.tree import TreeConfig, build_tree
+from conftest import assert_layers_are_rank_slices
 
 MAX_M = 8
 MAX_TOTAL = 4096
@@ -54,3 +57,27 @@ def test_both_modes_equal_brute_force(case):
         got = np.sort(build_tree(arrays, TreeConfig(mode=mode)).select_k(k))
         assert got.dtype == np.int64
         np.testing.assert_array_equal(got, expect, err_msg=mode)
+
+
+@st.composite
+def heap_values(draw):
+    """An int64 or float64 array of length 1 to 5000.
+
+    Hypothesis draws up to 64 values, the length and a seed; a seeded
+    generator samples the values out to that length, so long inputs, which
+    reach the partitioned spans of a heap, stay cheap to draw.
+    """
+    if draw(st.booleans()):
+        dtype, elements = np.int64, st.integers(-(2**63), 2**63 - 1)
+    else:
+        dtype, elements = np.float64, st.floats(allow_nan=False)
+    base = np.array(draw(st.lists(elements, min_size=1, max_size=64)), dtype=dtype)
+    n = draw(st.integers(1, 5000))
+    return np.random.default_rng(draw(st.integers(0, 2**32 - 1))).choice(base, n)
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(st.fractions(1, 8, max_denominator=1000).filter(lambda a: a > 1), heap_values())
+def test_heap_layers_are_rank_slices(alpha, values):
+    """Each layer, sorted, is its slice of the sorted input, at any rank."""
+    assert_layers_are_rank_slices(lohify(values, LohConfig(alpha)), values)

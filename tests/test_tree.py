@@ -17,10 +17,10 @@ from cartsel.errors import (
 )
 from cartsel.loh import verify_loh
 from cartsel.oracle import brute_multi
+from cartsel.pairwise import MODES, select_pairwise
 from cartsel.tree import (
     TreeConfig,
     build_tree,
-    guard_constants,
     node_ensure_layer,
     select_k,
     stats,
@@ -344,6 +344,22 @@ class TestMemoryPinning:
                 np.sort(tree.select_k(k)), brute_multi(arrays, k)
             )
 
+    @pytest.mark.parametrize("dtype", (np.int64, np.float64))
+    def test_inputs_are_left_untouched(self, dtype):
+        """Building and querying reorders only the heaps' own copies; the
+        caller's arrays keep every bit, whether one array or several."""
+        rng = np.random.default_rng(16)
+        arrays = [rng.integers(-500, 500, size=n).astype(dtype) for n in (2000, 7, 300)]
+        snapshots = [a.tobytes() for a in arrays]
+        for mode in MODES:
+            for inputs in (arrays, arrays[:1]):
+                tree = build_tree(inputs, TreeConfig(mode=mode))
+                tree.select_k(1000)
+                for leaf, a in zip(tree.leaves, inputs):
+                    assert not np.shares_memory(leaf.loh.values, a)
+        select_pairwise(arrays[0], arrays[2], 5000)
+        assert [a.tobytes() for a in arrays] == snapshots
+
     def test_single_array_answer_copies_out_of_the_heap(self):
         tree = build_tree([np.arange(100, dtype=np.int64)])
         for k in (1, 3, 100):
@@ -366,13 +382,3 @@ class TestNodeEnsureLayer:
         root = tree.root
         node_ensure_layer(root, 4)
         assert [root.layer_size(i) for i in (1, 2, 3, 4)] == [1, 2, 4, 8]
-
-
-class TestGuardConstants:
-    def test_defaults(self):
-        assert guard_constants() == (8.0, 64.0)
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("CARTSEL_GUARD_G", "3.5")
-        monkeypatch.setenv("CARTSEL_GUARD_G0", "10")
-        assert guard_constants() == (3.5, 10.0)
