@@ -5,11 +5,13 @@ value from layer u of the left stream and one from layer v of the right.
 A binary heap orders two kinds of tuples per product, a min tuple valued
 min(A(u)) + min(B(v)) and a max tuple valued max(A(u)) + max(B(v)). Popping
 a min tuple generates the product's values into a carry buffer and proposes
-follow-up products (structurally duplicate-free: popping (u, v) proposes
-(u, 2v) and (u, 2v+1), plus (2u, 1) and (2u+1, 1) when v == 1, asking the
-children to materialize any layer a proposal needs and skipping proposals a
-child can never satisfy). Popping a max tuple certifies that the whole
-product now precedes everything not yet generated.
+its grid neighbours: (u, v+1), plus (u+1, 1) when v == 1. Every product
+other than (1, 1) has exactly one proposer, (u, v-1) or (u-1, 1), whose min
+is no larger than its own, so no product is proposed twice and none is
+proposed too late. Pricing a proposal asks a child for at most one layer
+past the deepest one this node has expanded; proposals a child can never
+satisfy are skipped. Popping a max tuple certifies that the whole product
+now precedes everything not yet generated.
 
 Layers are emitted from the carry buffer once enough values are certified:
 standard mode takes exactly the requested count with a linear select, wobbly
@@ -67,10 +69,6 @@ class ProductTuple(NamedTuple):
     def is_max(self) -> bool:
         return not self.is_min
 
-    @property
-    def ref(self) -> tuple[int, int]:
-        return (self.u, self.v)
-
 
 def tuple_order(a: ProductTuple, b: ProductTuple) -> int:
     """Three-way heap-priority comparison: -1, 0, or 1."""
@@ -124,7 +122,11 @@ class PairwiseState:
         self._push_min(1, 1)
 
     def expand_min(self, t: ProductTuple) -> None:
-        """Generate the popped product's values and propose its successors."""
+        """Generate the popped product's values and propose its successors.
+
+        The successors are the next product in the row, (u, v+1), and, from
+        the first column only, the first product of the next row, (u+1, 1).
+        """
         u, v = t.u, t.v
         chunk = np.add.outer(self.left.peek_layer(u), self.right.peek_layer(v)).ravel()
         self.carry.append(chunk)
@@ -134,11 +136,9 @@ class PairwiseState:
             self.heap,
             ProductTuple(self.left.layer_max(u) + self.right.layer_max(v), False, u, v),
         )
-        self._push_min(u, 2 * v)
-        self._push_min(u, 2 * v + 1)
+        self._push_min(u, v + 1)
         if v == 1:
-            self._push_min(2 * u, 1)
-            self._push_min(2 * u + 1, 1)
+            self._push_min(u + 1, 1)
 
     def _pop_one(self) -> int:
         """Pop one tuple; return the product size on a max pop, else 0."""

@@ -41,7 +41,6 @@ __all__ = [
     "SelectionStats",
     "TreeConfig",
     "build_tree",
-    "node_ensure_layer",
     "select_k",
     "stats",
 ]
@@ -194,11 +193,6 @@ class InternalNode:
 
     def layer_size(self, i: int) -> int:
         return int(self.state.layers[i - 1].size)
-
-
-def node_ensure_layer(node, i: int) -> bool:
-    """Drive a node until layer i exists; False once the node is exhausted first."""
-    return node.ensure(i)
 
 
 class CartesianProductTree:

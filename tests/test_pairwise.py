@@ -73,42 +73,43 @@ class TestTupleOrder:
         heapq.heapify(tuples)
         assert heapq.heappop(tuples) == ProductTuple(5, is_min=False, u=2, v=1)
 
-    def test_ref_property(self):
-        assert ProductTuple(3, is_min=True, u=2, v=7).ref == (2, 7)
-
 
 class TestExpandMin:
     def test_corner_product_proposes_row_and_column(self):
-        """Expanding (1, 1) pushes its max and the four frontier proposals."""
+        """Expanding (1, 1) pushes its max and its two grid neighbours,
+        reaching only layer 2 of either child."""
         state = make_state([1, 2, 3, 4, 5, 6], [1, 2, 3, 4, 5, 6])
         state.propose_initial()
         t = heapq.heappop(state.heap)
-        assert t.ref == (1, 1) and not t.is_max
+        assert (t.u, t.v) == (1, 1) and not t.is_max
         state.expand_min(t)
-        assert heap_refs(state) == {
-            (1, 1, True),
-            (1, 2, False),
-            (1, 3, False),
-            (2, 1, False),
-            (3, 1, False),
-        }
+        assert heap_refs(state) == {(1, 1, True), (1, 2, False), (2, 1, False)}
+        assert (state.left.cursor, state.right.cursor) == (2, 2)
 
-    def test_interior_product_proposes_only_column_doubling(self):
-        """Expanding (2, 3) proposes (2, 6) and (2, 7) but no new rows."""
+    def test_interior_product_proposes_only_the_next_column(self):
+        """Expanding (2, 3) proposes (2, 4) and no new row; the right child
+        is asked for layer 4 and no further."""
         n28 = list(range(28))
         state = make_state(n28, n28)
         state.left.ensure(2)
-        state.right.ensure(7)
+        state.right.ensure(3)
         state.expand_min(ProductTuple(0, is_min=True, u=2, v=3))
-        assert heap_refs(state) == {(2, 3, True), (2, 6, False), (2, 7, False)}
+        assert heap_refs(state) == {(2, 3, True), (2, 4, False)}
+        assert (state.left.cursor, state.right.cursor) == (2, 4)
 
     def test_proposals_past_last_layer_are_skipped(self):
         """A child that can never supply the layer silently drops the proposal."""
         state = make_state([1, 2, 3, 4, 5, 6], [1, 2, 3, 4, 5, 6])
+        n_layers = state.right.loh.boundaries.size
         state.left.ensure(1)
-        state.right.ensure(2)
-        state.expand_min(ProductTuple(0, is_min=True, u=1, v=2))
-        assert heap_refs(state) == {(1, 2, True)}
+        state.right.ensure(n_layers)
+        state.expand_min(ProductTuple(0, is_min=True, u=1, v=n_layers))
+        assert heap_refs(state) == {(1, n_layers, True)}
+        state = make_state([1, 2, 3, 4, 5, 6], [1, 2, 3, 4, 5, 6])
+        state.left.ensure(n_layers)
+        state.right.ensure(1)
+        state.expand_min(ProductTuple(0, is_min=True, u=n_layers, v=1))
+        assert heap_refs(state) == {(n_layers, 1, True), (n_layers, 2, False)}
 
     def test_generates_the_product_block(self):
         state = make_state([1, 2, 3, 4, 5, 6], [10, 20, 30, 40, 50, 60])

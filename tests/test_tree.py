@@ -17,14 +17,15 @@ from cartsel.errors import (
 )
 from cartsel.loh import verify_loh
 from cartsel.oracle import brute_multi
-from cartsel.pairwise import MODES, select_pairwise
+from cartsel.pairwise import MODES, PairwiseState, select_pairwise
 from cartsel.tree import (
+    InternalNode,
     TreeConfig,
     build_tree,
-    node_ensure_layer,
     select_k,
     stats,
 )
+from conftest import G, G0
 
 
 def seeded_arrays(seed, m, n, hi=100):
@@ -220,10 +221,10 @@ class TestWorkIsPinned:
     @pytest.mark.parametrize(
         "name, mode, generated, pops",
         [
-            ("random", "standard", 2415, 292),
-            ("random", "wobbly", 3519, 221),
-            ("ties", "standard", 1053, 158),
-            ("ties", "wobbly", 1178, 165),
+            ("random", "standard", 1328, 191),
+            ("random", "wobbly", 2732, 141),
+            ("ties", "standard", 618, 113),
+            ("ties", "wobbly", 576, 96),
         ],
     )
     def test_values_generated_and_pops(self, name, mode, generated, pops):
@@ -256,6 +257,47 @@ class TestLaziness:
         tree = build_tree(arrays)
         tree.select_k(1)
         assert all(leaf.exposed_values < 32 for leaf in tree.leaves)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_children_stay_one_layer_ahead_of_their_parent(self, monkeypatch, mode):
+        """A child emits at most one layer past the deepest of its layers that
+        its parent has expanded a product on: proposals step to a grid
+        neighbour, so pricing one never reaches further into a child."""
+        deepest = {}
+        expand = PairwiseState.expand_min
+
+        def expand_min(state, t):
+            left, right = deepest.get(id(state), (0, 0))
+            deepest[id(state)] = (max(left, t.u), max(right, t.v))
+            expand(state, t)
+
+        monkeypatch.setattr(PairwiseState, "expand_min", expand_min)
+        rng = np.random.default_rng(21)
+        arrays = [rng.integers(0, 1 << 30, size=32) for _ in range(16)]
+        tree = build_tree(arrays, TreeConfig(mode=mode))
+        for k in (1, 100, 5000):
+            tree.select_k(k)
+            for node in tree.internals:
+                reached = deepest[id(node.state)]
+                for child, index in zip((node.state.left, node.state.right), reached):
+                    if isinstance(child, InternalNode):
+                        assert child.n_layers <= index + 1
+
+
+class TestPerNodeWork:
+    @pytest.mark.parametrize(
+        "seed, k", [(1087, 256), (0, 4096), (1, 4096), (2, 4096)]
+    )
+    def test_every_node_stays_within_the_work_bound(self, seed, k):
+        """In standard mode no node generates more than G * alpha**2 * k + G0
+        values for a query of k, whatever its depth: deep trees (m=256, n=32)
+        do not push inner nodes into enumerating their products."""
+        rng = np.random.default_rng(seed)
+        arrays = [rng.integers(0, 1 << 30, size=32, dtype=np.int64) for _ in range(256)]
+        tree = build_tree(arrays, TreeConfig(alpha=1.1, mode="standard"))
+        assert tree.select_k(k).size == k
+        worst = max(node.state.values_generated for node in tree.internals)
+        assert worst <= G * 1.1 * 1.1 * k + G0
 
 
 class TestWobblyCascade:
@@ -371,14 +413,14 @@ class TestNodeEnsureLayer:
     def test_sequential_layers_and_exhaustion(self):
         tree = build_tree(([1, 2], [3, 4]))
         root = tree.root
-        assert node_ensure_layer(root, 1)
+        assert root.ensure(1)
         assert root.layer_size(1) == 1
-        assert node_ensure_layer(root, 3)
-        assert not node_ensure_layer(root, 10)
+        assert root.ensure(3)
+        assert not root.ensure(10)
 
     def test_scheduled_sizes_with_alpha_two(self):
         arrays = seeded_arrays(13, 2, 8)
         tree = build_tree(arrays, TreeConfig(alpha=2))
         root = tree.root
-        node_ensure_layer(root, 4)
+        root.ensure(4)
         assert [root.layer_size(i) for i in (1, 2, 3, 4)] == [1, 2, 4, 8]
