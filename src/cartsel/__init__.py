@@ -26,15 +26,8 @@ from .loh import (
     verify_loh,
 )
 from .oracle import brute_multi, brute_pairwise
-from .pairwise import MODES, PairwiseState, ProductTuple, select_pairwise, tuple_order
-from .tree import (
-    CartesianProductTree,
-    SelectionStats,
-    TreeConfig,
-    build_tree,
-    select_k,
-    stats,
-)
+from .pairwise import MODES, PairwiseState, ProductTuple, select_pairwise
+from .tree import CartesianProductTree, SelectionStats, TreeConfig, build_tree
 
 __version__ = "0.1.0"
 
@@ -62,9 +55,6 @@ __all__ = [
     "linear_select",
     "lohify",
     "partition_by_value",
-    "select_k",
     "select_pairwise",
-    "stats",
-    "tuple_order",
     "verify_loh",
 ]

@@ -83,10 +83,17 @@ def read_instance(path) -> list[np.ndarray]:
             values: list = []
             for tok in tokens:
                 try:
-                    values.append(int(tok))
-                    continue
+                    v = int(tok)
                 except ValueError:
                     pass
+                else:
+                    if not -(2**63) <= v < 2**63:
+                        raise ParseError(
+                            f"line {line_no}: integer {tok!r} is outside the int64 range",
+                            line_no,
+                        )
+                    values.append(v)
+                    continue
                 try:
                     x = float(tok)
                 except ValueError:

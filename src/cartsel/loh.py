@@ -21,6 +21,7 @@ selection over a prefix of them copies it instead of mixing its layers.
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -79,10 +80,11 @@ class LohConfig:
     alpha: float | Fraction | str = 1.1
 
     def __post_init__(self):
-        _alpha_fraction(self.alpha)
+        self.alpha_fraction  # validate now; the parse is cached for the heap builds
 
-    @property
+    @functools.cached_property
     def alpha_fraction(self) -> Fraction:
+        """The rank as an exact rational, parsed once per config."""
         return _alpha_fraction(self.alpha)
 
 
@@ -117,12 +119,8 @@ def layer_sizes(alpha, n) -> list[int]:
     return sizes
 
 
-def as_value_array(values, *, name="input") -> np.ndarray:
-    """Coerce one input to the numeric profile (int64 or float64) and check it.
-
-    An input already in the profile may come back as itself, not a copy:
-    callers must not write to the result.
-    """
+def _coerce(values, name: str) -> np.ndarray:
+    """The input in the numeric profile (int64 or float64), float values unscanned."""
     arr = np.asarray(values)
     if arr.ndim != 1:
         raise ContractError(f"{name} must be one-dimensional, got shape {arr.shape}")
@@ -136,11 +134,21 @@ def as_value_array(values, *, name="input") -> np.ndarray:
     if kind in "ib":
         return arr.astype(np.int64, copy=False)
     if kind == "f":
-        out = arr.astype(np.float64, copy=False)
-        if np.isnan(out).any():
-            raise InvalidValueError(f"{name} contains NaN")
-        return out
+        return arr.astype(np.float64, copy=False)
     raise InvalidValueError(f"{name} has non-numeric dtype {arr.dtype}")
+
+
+def as_value_array(values, *, name="input") -> np.ndarray:
+    """Coerce one input to the numeric profile (int64 or float64) and check it.
+
+    Float inputs must be finite: NaN and +-inf are rejected. An input already
+    in the profile may come back as itself, not a copy: callers must not
+    write to the result.
+    """
+    arr = _coerce(values, name)
+    if arr.dtype.kind == "f" and not np.isfinite(arr).all():
+        raise InvalidValueError(f"{name} contains NaN or infinite values")
+    return arr
 
 
 def unify_profile(arrays: list[np.ndarray]) -> list[np.ndarray]:
@@ -249,10 +257,14 @@ def lohify(values, config: LohConfig | None = None) -> LayerOrderedHeap:
     in turn, until a span holds no boundary or is dense enough to sort
     whole. Each level moves at most len(values) elements, so the work is
     O(n max(1, log(1/(alpha-1)))). The values end up read-only.
+
+    Values must be finite. They are not scanned up front: NaN and +inf order
+    into the last layer and -inf into the first, so the first layer's min and
+    the last layer's max reveal them once the heap is built.
     """
     cfg = config if config is not None else LohConfig()
-    work = as_value_array(values).copy()
-    bounds = np.cumsum(layer_sizes(cfg.alpha, len(work)), dtype=np.int64)
+    work = _coerce(values, "values").copy()
+    bounds = np.cumsum(layer_sizes(cfg.alpha_fraction, len(work)), dtype=np.int64)
     cuts = bounds[:-1].tolist()
     # (lo, hi, c0, c1): cuts[c0:c1] are the boundaries strictly inside [lo, hi)
     spans = [(0, len(work), 0, len(cuts))]
@@ -272,7 +284,10 @@ def lohify(values, config: LohConfig | None = None) -> LayerOrderedHeap:
         spans.append((lo, cut, c0, j))
         spans.append((cut, hi, j + 1, c1))
     work.flags.writeable = False
-    return LayerOrderedHeap(work, bounds, cfg)
+    heap = LayerOrderedHeap(work, bounds, cfg)
+    if not (np.isfinite(heap.layer_mins[0]) and np.isfinite(heap.layer_maxs[-1])):
+        raise InvalidValueError("values must be finite, without NaN or +-inf")
+    return heap
 
 
 def verify_loh(heap: LayerOrderedHeap) -> bool:

@@ -1,5 +1,10 @@
 """Pairwise k-smallest-sums selection over two layer-ordered value streams.
 
+Each stream is a tree node: a leaf over one input's layer-ordered heap, or an
+internal node emitting its own. Both offer the same fields: layers (a list of
+arrays), mins and maxs (Python scalars), layer i at index i-1, and
+ensure(i), which exposes layers 1..i and reports whether layer i exists.
+
 The engine works on layer products A(u) + B(v): the multiset of sums of one
 value from layer u of the left stream and one from layer v of the right.
 A binary heap orders two kinds of tuples per product, a min tuple valued
@@ -43,7 +48,6 @@ __all__ = [
     "PairwiseState",
     "ProductTuple",
     "select_pairwise",
-    "tuple_order",
 ]
 
 MODES = ("standard", "wobbly")
@@ -65,22 +69,15 @@ class ProductTuple(NamedTuple):
     u: int
     v: int
 
-    @property
-    def is_max(self) -> bool:
-        return not self.is_min
-
-
-def tuple_order(a: ProductTuple, b: ProductTuple) -> int:
-    """Three-way heap-priority comparison: -1, 0, or 1."""
-    return (a > b) - (a < b)
-
 
 class PairwiseState:
     """Incremental engine emitting successive layers of smallest pairwise sums.
 
-    left and right are layer providers: objects with ensure(i), peek_layer(i),
-    layer_min(i), layer_max(i), and layer_size(i). Emitted layers accumulate
-    in self.layers and together form a layer-ordered heap of the sum multiset.
+    left and right are tree nodes, read through their layers, mins and maxs
+    lists once ensure(i) has exposed layer i. Emitted layers accumulate in
+    self.layers, with their extremes in self.mins and self.maxs, the same
+    fields a parent reads, and together form a layer-ordered heap of the sum
+    multiset.
     """
 
     def __init__(self, left, right):
@@ -95,21 +92,18 @@ class PairwiseState:
         # repaid when the straddled products' max tuples pop.
         self.s = 0
         self.layers: list[np.ndarray] = []
-        self.layer_mins: list = []
-        self.layer_maxs: list = []
+        self.mins: list = []
+        self.maxs: list = []
         self.last_max_value = None
         self.started = False
         self.values_generated = 0
         self.tuple_pops = 0
 
-    @property
-    def is_exhausted(self) -> bool:
-        return self.started and not self.heap and self.carry_count == 0
-
     def _push_min(self, u: int, v: int) -> None:
         """Propose product (u, v): materialize the layers it needs, or skip."""
-        if self.left.ensure(u) and self.right.ensure(v):
-            value = self.left.layer_min(u) + self.right.layer_min(v)
+        left, right = self.left, self.right
+        if left.ensure(u) and right.ensure(v):
+            value = left.mins[u - 1] + right.mins[v - 1]
             heapq.heappush(self.heap, ProductTuple(value, True, u, v))
 
     def propose_initial(self) -> None:
@@ -128,14 +122,13 @@ class PairwiseState:
         the first column only, the first product of the next row, (u+1, 1).
         """
         u, v = t.u, t.v
-        chunk = np.add.outer(self.left.peek_layer(u), self.right.peek_layer(v)).ravel()
+        left, right = self.left, self.right
+        chunk = np.add.outer(left.layers[u - 1], right.layers[v - 1]).ravel()
         self.carry.append(chunk)
         self.carry_count += chunk.size
         self.values_generated += chunk.size
-        heapq.heappush(
-            self.heap,
-            ProductTuple(self.left.layer_max(u) + self.right.layer_max(v), False, u, v),
-        )
+        value = left.maxs[u - 1] + right.maxs[v - 1]
+        heapq.heappush(self.heap, ProductTuple(value, False, u, v))
         self._push_min(u, v + 1)
         if v == 1:
             self._push_min(u + 1, 1)
@@ -145,7 +138,7 @@ class PairwiseState:
         t = heapq.heappop(self.heap)
         self.tuple_pops += 1
         if not t.is_min:
-            size = self.left.layer_size(t.u) * self.right.layer_size(t.v)
+            size = self.left.layers[t.u - 1].size * self.right.layers[t.v - 1].size
             self.s += size
             self.last_max_value = t.value
             return size
@@ -154,8 +147,8 @@ class PairwiseState:
 
     def _emit(self, layer: np.ndarray, rest: np.ndarray) -> np.ndarray:
         self.layers.append(layer)
-        self.layer_mins.append(layer.min().item())
-        self.layer_maxs.append(layer.max().item())
+        self.mins.append(layer.min().item())
+        self.maxs.append(layer.max().item())
         self.carry = [rest] if rest.size else []
         self.carry_count = int(rest.size)
         self.s -= int(layer.size)

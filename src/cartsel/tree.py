@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Protocol
 
 import numpy as np
 
@@ -36,13 +35,10 @@ from .pairwise import MODES, PairwiseState
 __all__ = [
     "CartesianProductTree",
     "InternalNode",
-    "LayerProvider",
     "LeafNode",
     "SelectionStats",
     "TreeConfig",
     "build_tree",
-    "select_k",
-    "stats",
 ]
 
 
@@ -71,99 +67,77 @@ class SelectionStats:
     root_pool_size: int = 0
 
 
-class LayerProvider(Protocol):
-    """What a pairwise engine needs from each child stream."""
-
-    def ensure(self, i: int) -> bool: ...
-
-    def peek_layer(self, i: int): ...
-
-    def layer_min(self, i: int): ...
-
-    def layer_max(self, i: int): ...
-
-    def layer_size(self, i: int) -> int: ...
-
-
 class LeafNode:
-    """Layer provider over a prebuilt layer-ordered heap.
+    """A prebuilt layer-ordered heap, exposed to its parent layer by layer.
 
-    Exposing a layer is O(1): the cursor only records how deep callers have
-    reached, which is what the laziness accounting reports. Layers are sliced
-    from the heap's values at offsets held as Python ints.
+    layers grows on demand with read-only views of the heap's values, so
+    len(layers) is how deep the parent has reached, which is what the
+    laziness accounting reports; mins and maxs hold every layer's extremes
+    from the start.
     """
 
-    __slots__ = ("loh", "label", "cursor", "_ends", "_mins", "_maxs")
+    __slots__ = ("loh", "label", "layers", "mins", "maxs", "_ends")
 
     def __init__(self, loh: LayerOrderedHeap, label: str = "leaf"):
         self.loh = loh
         self.label = label
-        self.cursor = 0
+        self.layers: list[np.ndarray] = []
+        self.mins = loh.layer_mins.tolist()
+        self.maxs = loh.layer_maxs.tolist()
         self._ends = [0, *loh.boundaries.tolist()]
-        self._mins = loh.layer_mins.tolist()
-        self._maxs = loh.layer_maxs.tolist()
 
     def ensure(self, i: int) -> bool:
         if i >= len(self._ends):
             return False
-        if i > self.cursor:
-            self.cursor = i
+        layers, ends = self.layers, self._ends
+        while len(layers) < i:
+            j = len(layers)
+            layers.append(self.loh.values[ends[j] : ends[j + 1]])
         return True
 
-    def peek_layer(self, i: int):
-        if i > self.cursor:
-            return None
-        return self.loh.values[self._ends[i - 1] : self._ends[i]]
-
-    def layer_min(self, i: int):
-        return self._mins[i - 1]
-
-    def layer_max(self, i: int):
-        return self._maxs[i - 1]
-
-    def layer_size(self, i: int) -> int:
-        return self._ends[i] - self._ends[i - 1]
+    def demand(self, count: int):
+        """Expose the next layer, or return None past the last; a leaf's
+        layer sizes are fixed, so the demanded count is not used."""
+        return self.layers[-1] if self.ensure(len(self.layers) + 1) else None
 
     @property
     def exposed_values(self) -> int:
-        return self._ends[self.cursor]
+        return self._ends[len(self.layers)]
 
 
 class InternalNode:
     """Pairwise engine over two children plus this node's own layer schedule.
 
-    The layer size schedule restarts at 1 in every node. In standard mode the
-    node emits exactly the requested sizes until the product runs out; in
-    wobbly mode each emission is a value partition of at least the requested
-    size. Parents drive nodes through ensure (scheduled sizes); the root is
-    driven by select_k, which in both modes requests the outstanding demand
+    layers, mins and maxs are the engine's emitted lists. The layer size
+    schedule restarts at 1 in every node. In standard mode the node emits
+    exactly the requested sizes until the product runs out; in wobbly mode
+    each emission is a value partition of at least the requested size.
+    Parents drive nodes through ensure (scheduled sizes); the root is driven
+    by select_k, which in both modes requests the outstanding demand
     directly through demand().
     """
 
-    __slots__ = ("state", "mode", "label", "_schedule", "_targets")
+    __slots__ = (
+        "state", "mode", "label", "layers", "mins", "maxs", "_schedule", "_targets"
+    )
 
-    def __init__(self, left, right, config: TreeConfig, label: str = "node"):
+    def __init__(self, left, right, mode: str, alpha: Fraction, label: str = "node"):
         self.state = PairwiseState(left, right)
-        self.mode = config.mode
+        self.mode = mode
         self.label = label
-        self._schedule = layer_size_schedule(config.alpha)
+        self.layers = self.state.layers
+        self.mins = self.state.mins
+        self.maxs = self.state.maxs
+        self._schedule = layer_size_schedule(alpha)
         self._targets: list[int] = []
 
-    @property
-    def layers(self) -> list[np.ndarray]:
-        return self.state.layers
-
-    @property
-    def n_layers(self) -> int:
-        return len(self.state.layers)
-
     def ensure(self, i: int) -> bool:
-        state = self.state
-        while len(state.layers) < i:
-            idx = len(state.layers)
+        layers = self.layers
+        while len(layers) < i:
+            idx = len(layers)
             while len(self._targets) <= idx:
                 self._targets.append(next(self._schedule))
-            if state.generate_next_layer(self._targets[idx], self.mode) is None:
+            if self.state.generate_next_layer(self._targets[idx], self.mode) is None:
                 return False
         return True
 
@@ -181,18 +155,6 @@ class InternalNode:
         if layer is not None:
             self._targets.append(count)
         return layer
-
-    def peek_layer(self, i: int):
-        return self.state.layers[i - 1] if i <= self.n_layers else None
-
-    def layer_min(self, i: int):
-        return self.state.layer_mins[i - 1]
-
-    def layer_max(self, i: int):
-        return self.state.layer_maxs[i - 1]
-
-    def layer_size(self, i: int) -> int:
-        return int(self.state.layers[i - 1].size)
 
 
 class CartesianProductTree:
@@ -228,26 +190,20 @@ class CartesianProductTree:
         if k == 0:
             return np.empty(0, dtype=self.dtype)
         root = self.root
-        if isinstance(root, LeafNode):
-            bounds = root.loh.boundaries
-            j = int(np.searchsorted(bounds, k, side="left")) + 1
-            root.ensure(j)
-            pool = root.loh.values[: int(bounds[j - 1])]
-        else:
-            layers = root.layers
-            cum = 0
-            j = 0
-            while cum < k:
-                if j < len(layers):
-                    cum += layers[j].size
-                    j += 1
-                    continue
-                if root.demand(k - cum) is None:
-                    break  # product exhausted; cum == total >= k already
-            pool = layers[0] if j == 1 else np.concatenate(layers[:j])
+        layers = root.layers
+        cum = 0
+        j = 0
+        while cum < k:
+            if j < len(layers):
+                cum += layers[j].size
+                j += 1
+                continue
+            if root.demand(k - cum) is None:
+                break  # product exhausted; cum == total >= k already
+        pool = layers[0] if j == 1 else np.concatenate(layers[:j])
         self.root_pool_size = int(pool.size)
         # in place on a root layer or a fresh concatenation; a leaf root's
-        # heap values are read-only, so linear_select copies them first
+        # layers are read-only views, so linear_select copies them first
         head, _ = linear_select(pool, k)
         if self.config.sorted_output:
             return np.sort(head)
@@ -259,9 +215,9 @@ class CartesianProductTree:
         for node in self.internals:
             snap.values_generated += node.state.values_generated
             snap.tuple_pops += node.state.tuple_pops
-            snap.layers_emitted[node.label] = node.n_layers
+            snap.layers_emitted[node.label] = len(node.layers)
         for leaf in self.leaves:
-            snap.leaf_layers_exposed[leaf.label] = leaf.cursor
+            snap.leaf_layers_exposed[leaf.label] = len(leaf.layers)
         snap.root_pool_size = self.root_pool_size
         return snap
 
@@ -281,6 +237,7 @@ def build_tree(inputs, config: TreeConfig | None = None) -> CartesianProductTree
         [as_value_array(x, name=f"input {i}") for i, x in enumerate(seq)]
     )
     loh_cfg = LohConfig(cfg.alpha)
+    alpha = loh_cfg.alpha_fraction
     leaves = [LeafNode(lohify(a, loh_cfg), label=f"leaf{i}") for i, a in enumerate(arrays)]
     internals: list[InternalNode] = []
 
@@ -289,7 +246,7 @@ def build_tree(inputs, config: TreeConfig | None = None) -> CartesianProductTree
             return leaves[lo]
         mid = lo + (hi - lo + 1) // 2
         node = InternalNode(
-            build(lo, mid), build(mid, hi), cfg, label=f"node{len(internals)}"
+            build(lo, mid), build(mid, hi), cfg.mode, alpha, label=f"node{len(internals)}"
         )
         internals.append(node)
         return node
@@ -297,12 +254,3 @@ def build_tree(inputs, config: TreeConfig | None = None) -> CartesianProductTree
     root = build(0, len(leaves))
     return CartesianProductTree(root, leaves, internals, cfg, arrays[0].dtype)
 
-
-def select_k(tree: CartesianProductTree, k) -> np.ndarray:
-    """Query form of CartesianProductTree.select_k."""
-    return tree.select_k(k)
-
-
-def stats(tree: CartesianProductTree) -> SelectionStats:
-    """Query form of CartesianProductTree.stats."""
-    return tree.stats()

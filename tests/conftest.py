@@ -10,6 +10,9 @@ import numpy as np
 G = 8
 G0 = 64
 
+# Float values every entry point must reject.
+NON_FINITE = (float("nan"), float("inf"), float("-inf"))
+
 
 def assert_layers_are_rank_slices(heap, values):
     """Each layer of heap, once sorted, equals its slice of sorted(values).

@@ -66,6 +66,19 @@ class TestInstanceFiles:
         with pytest.raises(ParseError):
             cli.read_instance(path)
 
+    @pytest.mark.parametrize("token", (str(2**63), str(-(2**63) - 1), "99999999999999999999"))
+    def test_integer_beyond_int64_reports_line(self, tmp_path, token):
+        path = tmp_path / "inst.txt"
+        path.write_text(f"1 2\n3 {token}\n")
+        with pytest.raises(ParseError) as err:
+            cli.read_instance(path)
+        assert err.value.line_no == 2
+
+    def test_int64_extremes_accepted(self, tmp_path):
+        path = tmp_path / "inst.txt"
+        path.write_text(f"{2**63 - 1} {-(2**63)}\n")
+        np.testing.assert_array_equal(cli.read_instance(path)[0], [2**63 - 1, -(2**63)])
+
     def test_no_rows_rejected(self, tmp_path):
         path = tmp_path / "inst.txt"
         path.write_text("# only comments\n\n")
@@ -190,6 +203,13 @@ class TestSelect:
     def test_malformed_file_is_parse_error(self, tmp_path, capsys):
         path = tmp_path / "bad.txt"
         path.write_text("1 oops\n")
+        code, _, err = run_cli(["select", "--input", str(path), "--k", "1"], capsys)
+        assert code == 2
+        assert "line 1" in err
+
+    def test_integer_overflow_is_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "big.txt"
+        path.write_text("1 2 99999999999999999999\n")
         code, _, err = run_cli(["select", "--input", str(path), "--k", "1"], capsys)
         assert code == 2
         assert "line 1" in err

@@ -23,7 +23,7 @@ from cartsel.loh import (
     unify_profile,
     verify_loh,
 )
-from conftest import assert_layers_are_rank_slices
+from conftest import NON_FINITE, assert_layers_are_rank_slices
 
 ALPHAS = (1.05, 1.1, 2, 4, Fraction(11, 10), "1.1")
 # Extreme and coarse ranks too: 5000 values make 100 layers at 1.001 and at
@@ -118,6 +118,11 @@ class TestAsValueArray:
     def test_nan_rejected(self):
         with pytest.raises(InvalidValueError):
             as_value_array([1.0, float("nan")])
+
+    @pytest.mark.parametrize("bad", (float("inf"), float("-inf")))
+    def test_infinity_rejected(self, bad):
+        with pytest.raises(InvalidValueError):
+            as_value_array([1.0, bad])
 
     def test_non_numeric_rejected(self):
         with pytest.raises(InvalidValueError):
@@ -283,6 +288,16 @@ class TestLohify:
             heap = lohify(vals, cfg)
             assert verify_loh(heap)
             np.testing.assert_array_equal(np.sort(heap.values), np.sort(vals))
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    @pytest.mark.parametrize("n", (1, 2, 1000))
+    def test_non_finite_rejected(self, bad, n):
+        """lohify checks its input on its own, wherever the bad value sits."""
+        for at in {0, n // 3, n - 1}:
+            values = np.arange(n, dtype=np.float64)
+            values[at] = bad
+            with pytest.raises(InvalidValueError):
+                lohify(values)
 
     def test_layers_are_value_ordered(self):
         rng = np.random.default_rng(7)

@@ -3,8 +3,14 @@
 import numpy as np
 import pytest
 
-from cartsel.errors import ContractError, EmptyInputError, ResourceLimitError
+from cartsel.errors import (
+    ContractError,
+    EmptyInputError,
+    InvalidValueError,
+    ResourceLimitError,
+)
 from cartsel.oracle import brute_multi, brute_pairwise
+from conftest import NON_FINITE
 
 
 class TestBrutePairwise:
@@ -60,6 +66,11 @@ class TestBruteMulti:
     def test_empty_inputs_rejected(self):
         with pytest.raises(EmptyInputError):
             brute_multi([], 1)
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(InvalidValueError):
+            brute_multi([[1.0, 2.0], [bad]], 1)
 
     def test_k_out_of_range(self):
         with pytest.raises(ContractError):

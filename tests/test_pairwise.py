@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import cartsel.pairwise as pairwise_mod
-from cartsel.errors import ConfigError, ContractError
+from cartsel.errors import ConfigError, ContractError, InvalidValueError
 from cartsel.loh import LohConfig, lohify
 from cartsel.oracle import brute_pairwise
 from cartsel.pairwise import (
@@ -15,10 +15,9 @@ from cartsel.pairwise import (
     PairwiseState,
     ProductTuple,
     select_pairwise,
-    tuple_order,
 )
 from cartsel.tree import LeafNode, TreeConfig, build_tree
-from conftest import G, G0
+from conftest import G, G0, NON_FINITE
 
 
 def make_state(a, b, alpha=1.1):
@@ -30,7 +29,7 @@ def make_state(a, b, alpha=1.1):
 
 
 def heap_refs(state):
-    return {(t.u, t.v, t.is_max) for t in state.heap}
+    return {(t.u, t.v, not t.is_min) for t in state.heap}
 
 
 def drain(state, targets, mode):
@@ -48,21 +47,21 @@ class TestTupleOrder:
     def test_value_dominates(self):
         low = ProductTuple(4, is_min=False, u=9, v=9)
         high = ProductTuple(5, is_min=True, u=1, v=1)
-        assert tuple_order(low, high) == -1
-        assert tuple_order(high, low) == 1
+        assert low < high
+        assert not high < low
 
     def test_max_pops_before_min_at_equal_value(self):
         """At a tied value the max tuple pops first and certifies its product."""
         mn = ProductTuple(5, is_min=True, u=1, v=1)
         mx = ProductTuple(5, is_min=False, u=1, v=2)
-        assert tuple_order(mx, mn) == -1
-        assert mx.is_max and not mn.is_max
+        assert mx < mn
+        assert not mx.is_min and mn.is_min
 
     def test_refs_break_remaining_ties(self):
         a = ProductTuple(5, is_min=True, u=1, v=2)
         b = ProductTuple(5, is_min=True, u=2, v=1)
-        assert tuple_order(a, b) == -1
-        assert tuple_order(a, a) == 0
+        assert a < b
+        assert a == a and not a < a
 
     def test_heap_respects_order(self):
         tuples = [
@@ -81,10 +80,10 @@ class TestExpandMin:
         state = make_state([1, 2, 3, 4, 5, 6], [1, 2, 3, 4, 5, 6])
         state.propose_initial()
         t = heapq.heappop(state.heap)
-        assert (t.u, t.v) == (1, 1) and not t.is_max
+        assert (t.u, t.v) == (1, 1) and t.is_min
         state.expand_min(t)
         assert heap_refs(state) == {(1, 1, True), (1, 2, False), (2, 1, False)}
-        assert (state.left.cursor, state.right.cursor) == (2, 2)
+        assert (len(state.left.layers), len(state.right.layers)) == (2, 2)
 
     def test_interior_product_proposes_only_the_next_column(self):
         """Expanding (2, 3) proposes (2, 4) and no new row; the right child
@@ -95,7 +94,7 @@ class TestExpandMin:
         state.right.ensure(3)
         state.expand_min(ProductTuple(0, is_min=True, u=2, v=3))
         assert heap_refs(state) == {(2, 3, True), (2, 4, False)}
-        assert (state.left.cursor, state.right.cursor) == (2, 4)
+        assert (len(state.left.layers), len(state.right.layers)) == (2, 4)
 
     def test_proposals_past_last_layer_are_skipped(self):
         """A child that can never supply the layer silently drops the proposal."""
@@ -145,7 +144,7 @@ class TestProposals:
             tree.select_k(k)
         state = make_state(arrays[0], arrays[1])
         drain(state, [7] * 1000, mode)
-        assert state.is_exhausted
+        assert state.generate_next_layer(1) is None
         assert len(pushed) > 100
         assert len(set(pushed)) == len(pushed)
 
@@ -156,7 +155,7 @@ class TestGenerateNextLayer:
         state = make_state([1, 2], [3, 4])
         layers = drain(state, [1] * 10, "standard")
         assert [layer.tolist() for layer in layers] == [[4], [5], [5], [6]]
-        assert state.is_exhausted
+        assert state.generate_next_layer(1) is None
 
     def test_wobbly_trace_two_by_two(self):
         """A target of 2 certifies bound 5 as soon as one 5 is generated:
@@ -165,7 +164,7 @@ class TestGenerateNextLayer:
         state = make_state([1, 2], [3, 4])
         layers = drain(state, [2] * 10, "wobbly")
         assert [sorted(layer.tolist()) for layer in layers] == [[4, 5], [5, 6]]
-        assert state.is_exhausted
+        assert state.generate_next_layer(1) is None
 
     def test_singleton_product(self):
         state = make_state([0], [0])
@@ -178,7 +177,6 @@ class TestGenerateNextLayer:
         drain(state, [4], "standard")
         assert state.generate_next_layer(1) is None
         assert state.generate_next_layer(5) is None
-        assert state.is_exhausted
 
     @pytest.mark.parametrize("mode", MODES)
     def test_layers_are_value_ordered(self, mode):
@@ -201,7 +199,7 @@ class TestGenerateNextLayer:
         layers = drain(state, [5] * 100, mode)
         got = np.sort(np.concatenate(layers))
         np.testing.assert_array_equal(got, brute_pairwise(a, b, a.size * b.size))
-        assert state.is_exhausted
+        assert state.generate_next_layer(1) is None
 
     def test_standard_emits_exact_target(self):
         rng = np.random.default_rng(12)
@@ -281,6 +279,11 @@ class TestSelectPairwise:
     def test_float_inputs(self):
         got = np.sort(select_pairwise([0.5, 1.5], [0.25, 0.75], 3))
         np.testing.assert_allclose(got, [0.75, 1.25, 1.75])
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(InvalidValueError):
+            select_pairwise([1.0, 2.0], [3.0, bad], 1)
 
     def test_k_out_of_range(self):
         with pytest.raises(ContractError):

@@ -70,7 +70,7 @@ def heap_values(draw):
     if draw(st.booleans()):
         dtype, elements = np.int64, st.integers(-(2**63), 2**63 - 1)
     else:
-        dtype, elements = np.float64, st.floats(allow_nan=False)
+        dtype, elements = np.float64, st.floats(allow_nan=False, allow_infinity=False)
     base = np.array(draw(st.lists(elements, min_size=1, max_size=64)), dtype=dtype)
     n = draw(st.integers(1, 5000))
     return np.random.default_rng(draw(st.integers(0, 2**32 - 1))).choice(base, n)

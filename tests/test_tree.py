@@ -18,14 +18,8 @@ from cartsel.errors import (
 from cartsel.loh import verify_loh
 from cartsel.oracle import brute_multi
 from cartsel.pairwise import MODES, PairwiseState, select_pairwise
-from cartsel.tree import (
-    InternalNode,
-    TreeConfig,
-    build_tree,
-    select_k,
-    stats,
-)
-from conftest import G, G0
+from cartsel.tree import InternalNode, LeafNode, TreeConfig, build_tree
+from conftest import G, G0, NON_FINITE
 
 
 def seeded_arrays(seed, m, n, hi=100):
@@ -68,6 +62,12 @@ class TestBuildTree:
     def test_nan_rejected(self):
         with pytest.raises(InvalidValueError):
             build_tree([[1.0, float("nan")], [2.0]])
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_non_finite_rejected(self, mode, bad):
+        with pytest.raises(InvalidValueError):
+            build_tree([[bad, 1.0], [2.0, 3.0]], TreeConfig(mode=mode))
 
     def test_sum_overflow_rejected(self):
         with pytest.raises(InvalidValueError):
@@ -205,14 +205,6 @@ class TestSelectK:
         np.testing.assert_array_equal(np.sort(tree.select_k(5)), full[:5])
         assert tree.stats().values_generated == gen
 
-    def test_query_functions_match_methods(self):
-        arrays = seeded_arrays(12, 3, 4)
-        tree = build_tree(arrays)
-        np.testing.assert_array_equal(
-            np.sort(select_k(tree, 10)), np.sort(tree.select_k(10))
-        )
-        assert stats(tree).values_generated == tree.stats().values_generated
-
 
 class TestWorkIsPinned:
     """Counters pinned on fixed instances: how values are laid out in the
@@ -281,7 +273,7 @@ class TestLaziness:
                 reached = deepest[id(node.state)]
                 for child, index in zip((node.state.left, node.state.right), reached):
                     if isinstance(child, InternalNode):
-                        assert child.n_layers <= index + 1
+                        assert len(child.layers) <= index + 1
 
 
 class TestPerNodeWork:
@@ -414,7 +406,7 @@ class TestNodeEnsureLayer:
         tree = build_tree(([1, 2], [3, 4]))
         root = tree.root
         assert root.ensure(1)
-        assert root.layer_size(1) == 1
+        assert root.layers[0].size == 1
         assert root.ensure(3)
         assert not root.ensure(10)
 
@@ -423,4 +415,33 @@ class TestNodeEnsureLayer:
         tree = build_tree(arrays, TreeConfig(alpha=2))
         root = tree.root
         root.ensure(4)
-        assert [root.layer_size(i) for i in (1, 2, 3, 4)] == [1, 2, 4, 8]
+        assert [root.layers[i - 1].size for i in (1, 2, 3, 4)] == [1, 2, 4, 8]
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_leaf_layers_are_read_only_heap_views_as_deep_as_asked(self, monkeypatch, mode):
+        """A leaf exposes exactly the layers its parent (or select_k, at a
+        leaf root) has asked for, each a read-only view of its heap."""
+        asked = {}
+        ensure = LeafNode.ensure
+
+        def spy(leaf, i):
+            ok = ensure(leaf, i)
+            if ok:
+                asked[id(leaf)] = max(asked.get(id(leaf), 0), i)
+            return ok
+
+        monkeypatch.setattr(LeafNode, "ensure", spy)
+        arrays = seeded_arrays(17, 5, 40, hi=1 << 30)
+        for inputs in (arrays, arrays[:1]):
+            tree = build_tree(inputs, TreeConfig(mode=mode))
+            for k in (1, 30, 3000):
+                tree.select_k(min(k, tree.total))
+                for leaf in tree.leaves:
+                    assert len(leaf.layers) == asked.get(id(leaf), 0)
+                    ends = [0, *leaf.loh.boundaries.tolist()]
+                    for i, layer in enumerate(leaf.layers):
+                        assert layer.base is leaf.loh.values
+                        assert not layer.flags.writeable
+                        np.testing.assert_array_equal(
+                            layer, leaf.loh.values[ends[i] : ends[i + 1]]
+                        )
