@@ -17,7 +17,6 @@ from .errors import (
 )
 from .loh import (
     LayerOrderedHeap,
-    LohConfig,
     layer_size_schedule,
     layer_sizes,
     linear_select,
@@ -26,8 +25,14 @@ from .loh import (
     verify_loh,
 )
 from .oracle import brute_multi, brute_pairwise
-from .pairwise import MODES, PairwiseState, ProductTuple, select_pairwise
-from .tree import CartesianProductTree, SelectionStats, TreeConfig, build_tree
+from .pairwise import MODES, PairwiseState, ProductTuple
+from .tree import (
+    CartesianProductTree,
+    SelectionStats,
+    TreeConfig,
+    build_tree,
+    select_pairwise,
+)
 
 __version__ = "0.1.0"
 
@@ -39,7 +44,6 @@ __all__ = [
     "EmptyInputError",
     "InvalidValueError",
     "LayerOrderedHeap",
-    "LohConfig",
     "MODES",
     "PairwiseState",
     "ParseError",

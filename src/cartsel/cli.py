@@ -9,12 +9,14 @@ mismatch or resource refusal, 2 unusable input or flags, 3 k out of range.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import math
 import re
 import sys
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,20 +48,6 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_PARSE = 2
 EXIT_RANGE = 3
-
-CSV_COLUMNS = (
-    "mode",
-    "n",
-    "m",
-    "alpha",
-    "k",
-    "trial",
-    "seed",
-    "runtime_seconds",
-    "runtime_excl_load_seconds",
-    "values_generated",
-    "root_pool_size",
-)
 
 BENCH_MODES = MODES + ("naive",)
 
@@ -120,10 +108,14 @@ def write_instance(arrays, fh) -> None:
         fh.write("\n")
 
 
+@contextlib.contextmanager
 def _open_out(path):
+    """The output file at path, closed afterwards, or stdout, left open."""
     if path is None:
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline=""), True
+        yield sys.stdout
+        return
+    with open(path, "w", encoding="utf-8", newline="") as out:
+        yield out
 
 
 def cmd_gen(args) -> int:
@@ -131,12 +123,8 @@ def cmd_gen(args) -> int:
         raise ConfigError(f"need n >= 1 and m >= 1, got n={args.n} m={args.m}")
     rng = np.random.default_rng(args.seed)
     arrays = _draw_instance(rng, args.n, args.m, args.dist)
-    out, close = _open_out(args.out)
-    try:
+    with _open_out(args.out) as out:
         write_instance(arrays, out)
-    finally:
-        if close:
-            out.close()
     return EXIT_OK
 
 
@@ -150,20 +138,18 @@ def _draw_instance(rng, n, m, dist):
 
 def cmd_select(args) -> int:
     arrays = read_instance(args.input)
-    config = TreeConfig(alpha=args.alpha, mode=args.mode, sorted_output=args.sorted)
+    config = TreeConfig(alpha=args.alpha, mode=args.mode)
     t0 = time.perf_counter()
     tree = build_tree(arrays, config)
     t1 = time.perf_counter()
     result = tree.select_k(args.k)
+    if args.sorted:
+        result = np.sort(result)
     t2 = time.perf_counter()
-    out, close = _open_out(args.out)
-    try:
+    with _open_out(args.out) as out:
         for v in result:
             out.write(_format_value(v))
             out.write("\n")
-    finally:
-        if close:
-            out.close()
     snap = tree.stats()
     print(f"runtime_seconds={t2 - t0!r}", file=sys.stderr)
     print(f"runtime_excl_load_seconds={t2 - t1!r}", file=sys.stderr)
@@ -254,9 +240,8 @@ def cmd_verify(args) -> int:
     return EXIT_OK if report.ok else EXIT_FAIL
 
 
-@dataclass
-class BenchRecord:
-    """One CSV row of the benchmark harness."""
+class BenchRecord(NamedTuple):
+    """One CSV row of the benchmark harness, its fields the CSV columns."""
 
     mode: str
     n: int
@@ -267,23 +252,11 @@ class BenchRecord:
     seed: int
     runtime_seconds: float
     runtime_excl_load_seconds: float
-    values_generated: float
-    root_pool_size: float
+    values_generated: int | float
+    root_pool_size: int | float
 
-    def row(self) -> list:
-        return [
-            self.mode,
-            self.n,
-            self.m,
-            self.alpha,
-            self.k,
-            self.trial,
-            self.seed,
-            repr(self.runtime_seconds),
-            repr(self.runtime_excl_load_seconds),
-            _trim_int(self.values_generated),
-            _trim_int(self.root_pool_size),
-        ]
+
+CSV_COLUMNS = BenchRecord._fields
 
 
 def _trim_int(x):
@@ -339,7 +312,6 @@ def run_bench(
         for k in ks:
             if k > total:
                 raise ContractError(f"k={k} exceeds the product size {total}")
-            runtimes, excls, gens, pools = [], [], [], []
             for trial in range(trials):
                 if mode == "naive":
                     t0 = time.perf_counter()
@@ -358,23 +330,12 @@ def run_bench(
                 records.append(
                     BenchRecord(mode, n, m, alpha, k, str(trial), seed, rt, rx, vg, rp)
                 )
-                runtimes.append(rt)
-                excls.append(rx)
-                gens.append(vg)
-                pools.append(rp)
+            # the mean of each of the last four columns, the measured ones
+            runs = records[-trials:]
+            rt, rx, vg, rp = (sum(col) / trials for col in zip(*(r[-4:] for r in runs)))
             records.append(
                 BenchRecord(
-                    mode,
-                    n,
-                    m,
-                    alpha,
-                    k,
-                    "mean",
-                    seed,
-                    sum(runtimes) / trials,
-                    sum(excls) / trials,
-                    sum(gens) / trials,
-                    sum(pools) / trials,
+                    mode, n, m, alpha, k, "mean", seed, rt, rx, _trim_int(vg), _trim_int(rp)
                 )
             )
     return records
@@ -388,15 +349,10 @@ def cmd_bench(args) -> int:
     records = run_bench(
         args.n, args.m, args.alpha, ks, modes, args.trials, args.seed, args.dist, args.cap
     )
-    out, close = _open_out(args.csv)
-    try:
+    with _open_out(args.csv) as out:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
-        for rec in records:
-            writer.writerow(rec.row())
-    finally:
-        if close:
-            out.close()
+        writer.writerows(records)
     return EXIT_OK
 
 

@@ -21,8 +21,8 @@ selection over a prefix of them copies it instead of mixing its layers.
 
 from __future__ import annotations
 
-import functools
 import math
+import numbers
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,7 +38,6 @@ from .errors import (
 
 __all__ = [
     "LayerOrderedHeap",
-    "LohConfig",
     "as_value_array",
     "layer_size_schedule",
     "layer_sizes",
@@ -53,9 +52,9 @@ def _alpha_fraction(alpha) -> Fraction:
     """Exact rational form of a rank; floats convert via their decimal repr."""
     if isinstance(alpha, Fraction):
         frac = alpha
-    elif isinstance(alpha, int):
-        frac = Fraction(alpha)
-    elif isinstance(alpha, float):
+    elif isinstance(alpha, numbers.Integral):
+        frac = Fraction(int(alpha))
+    elif isinstance(alpha, numbers.Real):
         if not math.isfinite(alpha):
             raise ConfigError(f"rank alpha must be finite, got {alpha!r}")
         # str() gives the shortest round-trip decimal, so 1.1 becomes 11/10
@@ -71,21 +70,6 @@ def _alpha_fraction(alpha) -> Fraction:
     if frac <= 1:
         raise ConfigError(f"rank alpha must be > 1, got {alpha!r}")
     return frac
-
-
-@dataclass(frozen=True)
-class LohConfig:
-    """Construction parameters for a layer-ordered heap."""
-
-    alpha: float | Fraction | str = 1.1
-
-    def __post_init__(self):
-        self.alpha_fraction  # validate now; the parse is cached for the heap builds
-
-    @functools.cached_property
-    def alpha_fraction(self) -> Fraction:
-        """The rank as an exact rational, parsed once per config."""
-        return _alpha_fraction(self.alpha)
 
 
 def layer_size_schedule(alpha):
@@ -155,16 +139,18 @@ def unify_profile(arrays: list[np.ndarray]) -> list[np.ndarray]:
     """Promote a group of ingested arrays to one profile and range-check it.
 
     If any array is float the whole group becomes float64. An all-integer
-    group is checked so that summing one value from each array cannot
-    overflow int64.
+    group is checked so that no sum of one value from each of up to all m
+    arrays can overflow int64: every such partial sum lies between
+    m * min(0, lo) and m * max(0, hi).
     """
     if any(a.dtype.kind == "f" for a in arrays):
         return [a if a.dtype.kind == "f" else a.astype(np.float64) for a in arrays]
     m = len(arrays)
-    worst = max(max(abs(int(a.min())), abs(int(a.max()))) for a in arrays)
-    if worst > (2**63 - 1) // max(m, 1):
+    lo = min(int(a.min()) for a in arrays)
+    hi = max(int(a.max()) for a in arrays)
+    if m * max(0, hi) > 2**63 - 1 or m * min(0, lo) < -(2**63):
         raise InvalidValueError(
-            f"integer magnitudes up to {worst} could overflow int64 when "
+            f"integer values in [{lo}, {hi}] could overflow int64 when "
             f"summing {m} values"
         )
     return list(arrays)
@@ -219,13 +205,14 @@ class LayerOrderedHeap:
     """A value array partitioned into ordered layers.
 
     boundaries[i] is the cumulative end offset of layer i+1 (the last entry
-    equals len(values)). Layers are addressed 1-based to match the indices
-    carried by selection tuples.
+    equals len(values)), as scheduled by the rank alpha, kept as given to
+    lohify. Layers are addressed 1-based to match the indices carried by
+    selection tuples.
     """
 
     values: np.ndarray
     boundaries: np.ndarray
-    config: LohConfig
+    alpha: float | Fraction | str
     layer_mins: np.ndarray | None = None
     layer_maxs: np.ndarray | None = None
 
@@ -248,7 +235,7 @@ class LayerOrderedHeap:
 DENSE_SPAN = 16
 
 
-def lohify(values, config: LohConfig | None = None) -> LayerOrderedHeap:
+def lohify(values, alpha=1.1) -> LayerOrderedHeap:
     """Build a layer-ordered heap over values; the multiset is preserved.
 
     The input is copied once and never written. The copy is reordered in
@@ -262,9 +249,8 @@ def lohify(values, config: LohConfig | None = None) -> LayerOrderedHeap:
     into the last layer and -inf into the first, so the first layer's min and
     the last layer's max reveal them once the heap is built.
     """
-    cfg = config if config is not None else LohConfig()
     work = _coerce(values, "values").copy()
-    bounds = np.cumsum(layer_sizes(cfg.alpha_fraction, len(work)), dtype=np.int64)
+    bounds = np.cumsum(layer_sizes(alpha, len(work)), dtype=np.int64)
     cuts = bounds[:-1].tolist()
     # (lo, hi, c0, c1): cuts[c0:c1] are the boundaries strictly inside [lo, hi)
     spans = [(0, len(work), 0, len(cuts))]
@@ -284,7 +270,7 @@ def lohify(values, config: LohConfig | None = None) -> LayerOrderedHeap:
         spans.append((lo, cut, c0, j))
         spans.append((cut, hi, j + 1, c1))
     work.flags.writeable = False
-    heap = LayerOrderedHeap(work, bounds, cfg)
+    heap = LayerOrderedHeap(work, bounds, alpha)
     if not (np.isfinite(heap.layer_mins[0]) and np.isfinite(heap.layer_maxs[-1])):
         raise InvalidValueError("values must be finite, without NaN or +-inf")
     return heap
@@ -297,7 +283,7 @@ def verify_loh(heap: LayerOrderedHeap) -> bool:
     if vals.ndim != 1 or vals.size == 0:
         return False
     try:
-        sizes = layer_sizes(heap.config.alpha, len(vals))
+        sizes = layer_sizes(heap.alpha, len(vals))
     except (ConfigError, ContractError, EmptyInputError):
         return False
     if not np.array_equal(bounds, np.cumsum(sizes)):

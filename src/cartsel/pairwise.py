@@ -34,20 +34,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, ContractError, EmptyInputError
-from .loh import (
-    LohConfig,
-    as_value_array,
-    linear_select,
-    lohify,
-    partition_by_value,
-    unify_profile,
-)
+from .loh import linear_select, partition_by_value
 
 __all__ = [
     "MODES",
     "PairwiseState",
     "ProductTuple",
-    "select_pairwise",
 ]
 
 MODES = ("standard", "wobbly")
@@ -74,15 +66,18 @@ class PairwiseState:
     """Incremental engine emitting successive layers of smallest pairwise sums.
 
     left and right are tree nodes, read through their layers, mins and maxs
-    lists once ensure(i) has exposed layer i. Emitted layers accumulate in
-    self.layers, with their extremes in self.mins and self.maxs, the same
-    fields a parent reads, and together form a layer-ordered heap of the sum
-    multiset.
+    lists once ensure(i) has exposed layer i. mode, one of MODES, fixes how
+    every layer is emitted. Emitted layers accumulate in self.layers, with
+    their extremes in self.mins and self.maxs, the same fields a parent
+    reads, and together form a layer-ordered heap of the sum multiset.
     """
 
-    def __init__(self, left, right):
+    def __init__(self, left, right, mode: str):
+        if mode not in MODES:
+            raise ConfigError(f"unknown mode {mode!r}, expected one of {MODES}")
         self.left = left
         self.right = right
+        self.mode = mode
         self.heap: list[ProductTuple] = []
         self.carry: list[np.ndarray] = []
         self.carry_count = 0
@@ -157,7 +152,7 @@ class PairwiseState:
     def _carry_pool(self) -> np.ndarray:
         return self.carry[0] if len(self.carry) == 1 else np.concatenate(self.carry)
 
-    def generate_next_layer(self, target, mode: str = "standard"):
+    def generate_next_layer(self, target):
         """Emit the next layer of smallest remaining sums, or None at exhaustion.
 
         Standard mode certifies against the running surplus s and emits
@@ -173,12 +168,10 @@ class PairwiseState:
         target = int(target)
         if target < 1:
             raise ContractError(f"layer target must be >= 1, got {target}")
-        if mode not in MODES:
-            raise ConfigError(f"unknown mode {mode!r}")
         if not self.started:
             self.propose_initial()
         heap = self.heap
-        if mode == "standard":
+        if self.mode == "standard":
             while self.s < target and heap:
                 self._pop_one()
             if self.carry_count == 0:
@@ -204,20 +197,3 @@ class PairwiseState:
                 return None
             else:
                 need = target
-
-
-def select_pairwise(a, b, k, config: LohConfig | None = None) -> np.ndarray:
-    """The k smallest values of {x + y : x in a, y in b}, in no set order."""
-    from .tree import LeafNode  # deferred: tree builds on this module
-
-    cfg = config if config is not None else LohConfig()
-    left, right = unify_profile(
-        [as_value_array(a, name="a"), as_value_array(b, name="b")]
-    )
-    total = left.size * right.size
-    k = int(k)
-    if not 1 <= k <= total:
-        raise ContractError(f"k={k} out of range [1, {total}]")
-    state = PairwiseState(LeafNode(lohify(left, cfg)), LeafNode(lohify(right, cfg)))
-    layer = state.generate_next_layer(k, "standard")
-    return layer

@@ -9,12 +9,19 @@ child for a layer when a proposed product needs it. Inner nodes emit layers
 on their own size schedule; the root, which feeds no parent, is asked for
 one layer of the whole outstanding demand in both modes. The final answer is
 a linear select over the shortest root layer prefix holding at least k
-values, which in standard mode holds exactly k once a query has run.
+values, which in standard mode holds exactly k once a query has run; it comes
+back in no set order.
+
+TreeConfig reads the rank alpha and the mode once per tree: every leaf heap
+and node schedule gets the one parsed Fraction, and every node engine the one
+mode. Two-array selection is the two-leaf tree.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -23,7 +30,7 @@ import numpy as np
 from .errors import ConfigError, ContractError, EmptyInputError
 from .loh import (
     LayerOrderedHeap,
-    LohConfig,
+    _alpha_fraction,
     as_value_array,
     layer_size_schedule,
     linear_select,
@@ -39,6 +46,7 @@ __all__ = [
     "SelectionStats",
     "TreeConfig",
     "build_tree",
+    "select_pairwise",
 ]
 
 
@@ -48,12 +56,16 @@ class TreeConfig:
 
     alpha: float | Fraction | str = 1.1
     mode: str = "standard"
-    sorted_output: bool = False
 
     def __post_init__(self):
         if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r}, expected one of {MODES}")
-        LohConfig(self.alpha)
+        self.alpha_fraction  # validate now; the parse is cached for every build
+
+    @functools.cached_property
+    def alpha_fraction(self) -> Fraction:
+        """The rank as an exact rational, parsed once per config."""
+        return _alpha_fraction(self.alpha)
 
 
 @dataclass
@@ -117,27 +129,21 @@ class InternalNode:
     directly through demand().
     """
 
-    __slots__ = (
-        "state", "mode", "label", "layers", "mins", "maxs", "_schedule", "_targets"
-    )
+    __slots__ = ("state", "label", "layers", "mins", "maxs", "_schedule")
 
     def __init__(self, left, right, mode: str, alpha: Fraction, label: str = "node"):
-        self.state = PairwiseState(left, right)
-        self.mode = mode
+        self.state = PairwiseState(left, right, mode)
         self.label = label
         self.layers = self.state.layers
         self.mins = self.state.mins
         self.maxs = self.state.maxs
         self._schedule = layer_size_schedule(alpha)
-        self._targets: list[int] = []
 
     def ensure(self, i: int) -> bool:
-        layers = self.layers
-        while len(layers) < i:
-            idx = len(layers)
-            while len(self._targets) <= idx:
-                self._targets.append(next(self._schedule))
-            if self.state.generate_next_layer(self._targets[idx], self.mode) is None:
+        # exhaustion is final, so a size drawn for a layer that never comes is
+        # never needed again
+        while len(self.layers) < i:
+            if self.state.generate_next_layer(next(self._schedule)) is None:
                 return False
         return True
 
@@ -151,27 +157,19 @@ class InternalNode:
         certified bound. Returns the layer, or None once the product is
         exhausted.
         """
-        layer = self.state.generate_next_layer(count, self.mode)
-        if layer is not None:
-            self._targets.append(count)
-        return layer
+        return self.state.generate_next_layer(count)
 
 
 class CartesianProductTree:
     """Handle over the built tree: repeated selections resume prior work."""
 
-    def __init__(self, root, leaves, internals, config: TreeConfig, dtype):
+    def __init__(self, root, leaves, internals, dtype):
         self.root = root
         self.leaves = leaves
         self.internals = internals
-        self.config = config
         self.dtype = dtype
         self.total = math.prod(leaf.loh.values.size for leaf in leaves)
         self.root_pool_size = 0
-
-    @property
-    def m(self) -> int:
-        return len(self.leaves)
 
     @property
     def height(self) -> int:
@@ -183,8 +181,8 @@ class CartesianProductTree:
         return depth(self.root)
 
     def select_k(self, k) -> np.ndarray:
-        """The k smallest m-fold sums as one array (sorted if configured)."""
-        k = int(k)
+        """The k smallest m-fold sums as one array, in no set order."""
+        k = _index(k)
         if not 0 <= k <= self.total:
             raise ContractError(f"k={k} out of range [0, {self.total}]")
         if k == 0:
@@ -205,8 +203,6 @@ class CartesianProductTree:
         # in place on a root layer or a fresh concatenation; a leaf root's
         # layers are read-only views, so linear_select copies them first
         head, _ = linear_select(pool, k)
-        if self.config.sorted_output:
-            return np.sort(head)
         # a whole single root layer comes back as itself, and the tree keeps it
         return head.copy() if j == 1 and head is pool else head
 
@@ -236,21 +232,46 @@ def build_tree(inputs, config: TreeConfig | None = None) -> CartesianProductTree
     arrays = unify_profile(
         [as_value_array(x, name=f"input {i}") for i, x in enumerate(seq)]
     )
-    loh_cfg = LohConfig(cfg.alpha)
-    alpha = loh_cfg.alpha_fraction
-    leaves = [LeafNode(lohify(a, loh_cfg), label=f"leaf{i}") for i, a in enumerate(arrays)]
+    alpha = cfg.alpha_fraction
+    leaves = [LeafNode(lohify(a, alpha), label=f"leaf{i}") for i, a in enumerate(arrays)]
     internals: list[InternalNode] = []
+    root = _subtree(leaves, 0, len(leaves), cfg.mode, alpha, internals)
+    return CartesianProductTree(root, leaves, internals, arrays[0].dtype)
 
-    def build(lo: int, hi: int):
-        if hi - lo == 1:
-            return leaves[lo]
-        mid = lo + (hi - lo + 1) // 2
-        node = InternalNode(
-            build(lo, mid), build(mid, hi), cfg.mode, alpha, label=f"node{len(internals)}"
-        )
-        internals.append(node)
-        return node
 
-    root = build(0, len(leaves))
-    return CartesianProductTree(root, leaves, internals, cfg, arrays[0].dtype)
+def _subtree(leaves, lo, hi, mode, alpha, internals):
+    """The balanced subtree over leaves[lo:hi]; its internal nodes are
+    appended to internals in post-order.
+
+    A module function rather than a recursive closure, which would be a
+    reference cycle holding every node until the cyclic collector ran.
+    """
+    if hi - lo == 1:
+        return leaves[lo]
+    mid = lo + (hi - lo + 1) // 2
+    left = _subtree(leaves, lo, mid, mode, alpha, internals)
+    right = _subtree(leaves, mid, hi, mode, alpha, internals)
+    node = InternalNode(left, right, mode, alpha, label=f"node{len(internals)}")
+    internals.append(node)
+    return node
+
+
+def select_pairwise(a, b, k, alpha=1.1) -> np.ndarray:
+    """The k smallest values of {x + y : x in a, y in b}, in no set order.
+
+    This is the two-leaf tree, with k >= 1.
+    """
+    tree = build_tree([a, b], TreeConfig(alpha=alpha))
+    k = _index(k)
+    if k < 1:
+        raise ContractError(f"k={k} out of range [1, {tree.total}]")
+    return tree.select_k(k)
+
+
+def _index(k) -> int:
+    """k as an exact Python int; floats, strings and the like are refused."""
+    try:
+        return operator.index(k)
+    except TypeError:
+        raise ContractError(f"k must be an integer, got {type(k).__name__}") from None
 

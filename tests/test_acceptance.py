@@ -13,10 +13,9 @@ import numpy as np
 import pytest
 
 from cartsel.cli import run_bench, run_verification
-from cartsel.loh import LohConfig, layer_sizes, lohify, verify_loh
+from cartsel.loh import layer_sizes, lohify, verify_loh
 from cartsel.oracle import brute_multi, brute_pairwise
-from cartsel.pairwise import select_pairwise
-from cartsel.tree import TreeConfig, build_tree
+from cartsel.tree import TreeConfig, build_tree, select_pairwise
 from conftest import G, G0
 
 ALPHA = 1.1
@@ -114,7 +113,7 @@ class TestCriterion4:
                 if sum(sizes) != n or sizes[0] != 1:
                     bad += 1
                 vals = rng.integers(0, 1 << 20, size=n).astype(np.int64)
-                if not verify_loh(lohify(vals, LohConfig(alpha))):
+                if not verify_loh(lohify(vals, alpha)):
                     bad += 1
                 checked += 1
         assert report(4, bad == 0, f"{checked} (n, alpha) combinations, {bad} bad")

@@ -13,7 +13,6 @@ from cartsel.errors import (
 )
 from cartsel.loh import (
     LayerOrderedHeap,
-    LohConfig,
     as_value_array,
     layer_size_schedule,
     layer_sizes,
@@ -47,10 +46,12 @@ class TestLayerSizeSchedule:
         assert sizes[9] == 10 and sizes[10] == 11
 
     def test_alpha_forms_agree(self):
-        """float, Fraction, and string alphas give one schedule."""
+        """float, Fraction, string and numpy scalar alphas give one schedule."""
         expect = layer_sizes(1.1, 5000)
         assert layer_sizes(Fraction(11, 10), 5000) == expect
         assert layer_sizes("1.1", 5000) == expect
+        assert layer_sizes(np.int64(2), 5000) == layer_sizes(2, 5000)
+        assert layer_sizes(np.float32(1.5), 5000) == layer_sizes(Fraction(3, 2), 5000)
 
     def test_single_value(self):
         assert layer_sizes(1.1, 1) == [1]
@@ -79,9 +80,9 @@ class TestLayerSizeSchedule:
         with pytest.raises(ConfigError):
             layer_sizes(alpha, 10)
 
-    def test_config_validates_alpha(self):
+    def test_lohify_validates_alpha(self):
         with pytest.raises(ConfigError):
-            LohConfig(alpha=1)
+            lohify(np.arange(3), alpha=1)
 
 
 class TestAsValueArray:
@@ -282,10 +283,9 @@ class TestLohify:
     def test_structure_verifies(self, alpha):
         """Every built heap passes the structural check and keeps the multiset."""
         rng = np.random.default_rng(6)
-        cfg = LohConfig(alpha)
         for n in (1, 2, 7, 100, 3000):
             vals = rng.integers(0, 50, size=n).astype(np.int64)
-            heap = lohify(vals, cfg)
+            heap = lohify(vals, alpha)
             assert verify_loh(heap)
             np.testing.assert_array_equal(np.sort(heap.values), np.sort(vals))
 
@@ -305,7 +305,7 @@ class TestLohify:
         assert (heap.layer_maxs[:-1] <= heap.layer_mins[1:]).all()
 
     def test_layer_sizes_match_schedule(self):
-        heap = lohify(np.arange(60, dtype=np.int64)[::-1], LohConfig(1.1))
+        heap = lohify(np.arange(60, dtype=np.int64)[::-1], 1.1)
         assert np.diff(heap.boundaries, prepend=0).tolist() == layer_sizes(1.1, 60)
 
     @pytest.mark.parametrize("alpha", BUILD_ALPHAS)
@@ -313,7 +313,6 @@ class TestLohify:
         """Each layer, sorted, is its slice of the sorted input, on inputs
         that are random, sorted, reversed, all equal and low-cardinality."""
         rng = np.random.default_rng(11)
-        cfg = LohConfig(alpha)
         for n in (1, 2, 3, 17, 1000, 5000):
             for vals in (
                 rng.integers(-(1 << 40), 1 << 40, size=n),
@@ -322,7 +321,7 @@ class TestLohify:
                 np.full(n, -3, dtype=np.int64),
                 rng.integers(0, 4, size=n),
             ):
-                assert_layers_are_rank_slices(lohify(vals, cfg), vals)
+                assert_layers_are_rank_slices(lohify(vals, alpha), vals)
 
     @pytest.mark.parametrize("dtype", (np.int64, np.float64))
     def test_input_is_never_written_or_shared(self, dtype):
@@ -331,7 +330,7 @@ class TestLohify:
         for n in (1, 300, 5000):
             vals = rng.integers(-1000, 1000, size=n).astype(dtype)
             snapshot = vals.tobytes()
-            heap = lohify(vals, LohConfig(1.01))
+            heap = lohify(vals, 1.01)
             assert vals.tobytes() == snapshot
             assert not np.shares_memory(heap.values, vals)
 
@@ -362,7 +361,7 @@ class TestLohify:
                 np.zeros(n, dtype=np.int64),
             ):
                 snapshot = vals.copy()
-                heap = lohify(vals, LohConfig(1.1))
+                heap = lohify(vals, 1.1)
                 assert verify_loh(heap)
                 np.testing.assert_array_equal(np.sort(heap.values), np.sort(vals))
                 np.testing.assert_array_equal(vals, snapshot)
@@ -373,13 +372,13 @@ class TestVerifyLoh:
         """max of layer 1 above min of layer 2 fails the check."""
         heap = lohify(np.array([1, 2, 3], dtype=np.int64))
         broken = LayerOrderedHeap(
-            np.array([2, 1, 3], dtype=np.int64), heap.boundaries.copy(), heap.config
+            np.array([2, 1, 3], dtype=np.int64), heap.boundaries.copy(), heap.alpha
         )
         assert not verify_loh(broken)
 
     def test_rejects_wrong_boundaries(self):
         heap = lohify(np.array([1, 2, 3], dtype=np.int64))
         broken = LayerOrderedHeap(
-            heap.values.copy(), np.array([2, 3], dtype=np.int64), heap.config
+            heap.values.copy(), np.array([2, 3], dtype=np.int64), heap.alpha
         )
         assert not verify_loh(broken)

@@ -8,23 +8,18 @@ import pytest
 
 import cartsel.pairwise as pairwise_mod
 from cartsel.errors import ConfigError, ContractError, InvalidValueError
-from cartsel.loh import LohConfig, lohify
+from cartsel.loh import lohify
 from cartsel.oracle import brute_pairwise
-from cartsel.pairwise import (
-    MODES,
-    PairwiseState,
-    ProductTuple,
-    select_pairwise,
-)
-from cartsel.tree import LeafNode, TreeConfig, build_tree
+from cartsel.pairwise import MODES, PairwiseState, ProductTuple
+from cartsel.tree import LeafNode, TreeConfig, build_tree, select_pairwise
 from conftest import G, G0, NON_FINITE
 
 
-def make_state(a, b, alpha=1.1):
-    cfg = LohConfig(alpha)
+def make_state(a, b, mode="standard", alpha=1.1):
     return PairwiseState(
-        LeafNode(lohify(np.asarray(a, dtype=np.int64), cfg)),
-        LeafNode(lohify(np.asarray(b, dtype=np.int64), cfg)),
+        LeafNode(lohify(np.asarray(a, dtype=np.int64), alpha)),
+        LeafNode(lohify(np.asarray(b, dtype=np.int64), alpha)),
+        mode,
     )
 
 
@@ -32,11 +27,11 @@ def heap_refs(state):
     return {(t.u, t.v, not t.is_min) for t in state.heap}
 
 
-def drain(state, targets, mode):
+def drain(state, targets):
     """Emit layers for successive targets until exhaustion; return the layers."""
     layers = []
     for t in targets:
-        layer = state.generate_next_layer(t, mode)
+        layer = state.generate_next_layer(t)
         if layer is None:
             break
         layers.append(layer)
@@ -142,8 +137,8 @@ class TestProposals:
         tree = build_tree(arrays, TreeConfig(mode=mode))
         for k in (1, 40, 900, 5000):
             tree.select_k(k)
-        state = make_state(arrays[0], arrays[1])
-        drain(state, [7] * 1000, mode)
+        state = make_state(arrays[0], arrays[1], mode)
+        drain(state, [7] * 1000)
         assert state.generate_next_layer(1) is None
         assert len(pushed) > 100
         assert len(set(pushed)) == len(pushed)
@@ -153,7 +148,7 @@ class TestGenerateNextLayer:
     def test_standard_trace_two_by_two(self):
         """Unit targets on [1,2]x[3,4] emit the sums one at a time in order."""
         state = make_state([1, 2], [3, 4])
-        layers = drain(state, [1] * 10, "standard")
+        layers = drain(state, [1] * 10)
         assert [layer.tolist() for layer in layers] == [[4], [5], [5], [6]]
         assert state.generate_next_layer(1) is None
 
@@ -161,8 +156,8 @@ class TestGenerateNextLayer:
         """A target of 2 certifies bound 5 as soon as one 5 is generated:
         the max tuple of (1, 2) pops before the tied min of (2, 1), so the
         second 5 waits for the next layer."""
-        state = make_state([1, 2], [3, 4])
-        layers = drain(state, [2] * 10, "wobbly")
+        state = make_state([1, 2], [3, 4], "wobbly")
+        layers = drain(state, [2] * 10)
         assert [sorted(layer.tolist()) for layer in layers] == [[4, 5], [5, 6]]
         assert state.generate_next_layer(1) is None
 
@@ -174,7 +169,7 @@ class TestGenerateNextLayer:
 
     def test_exhaustion_is_idempotent(self):
         state = make_state([1, 2], [3, 4])
-        drain(state, [4], "standard")
+        drain(state, [4])
         assert state.generate_next_layer(1) is None
         assert state.generate_next_layer(5) is None
 
@@ -184,8 +179,8 @@ class TestGenerateNextLayer:
         rng = np.random.default_rng(10)
         a = rng.integers(0, 100, size=20).astype(np.int64)
         b = rng.integers(0, 100, size=15).astype(np.int64)
-        state = make_state(a, b)
-        layers = drain(state, [3] * 200, mode)
+        state = make_state(a, b, mode)
+        layers = drain(state, [3] * 200)
         for cur, nxt in zip(layers, layers[1:]):
             assert cur.max() <= nxt.min()
 
@@ -195,8 +190,8 @@ class TestGenerateNextLayer:
         rng = np.random.default_rng(11)
         a = rng.integers(0, 9, size=12).astype(np.int64)
         b = rng.integers(0, 9, size=11).astype(np.int64)
-        state = make_state(a, b)
-        layers = drain(state, [5] * 100, mode)
+        state = make_state(a, b, mode)
+        layers = drain(state, [5] * 100)
         got = np.sort(np.concatenate(layers))
         np.testing.assert_array_equal(got, brute_pairwise(a, b, a.size * b.size))
         assert state.generate_next_layer(1) is None
@@ -208,7 +203,7 @@ class TestGenerateNextLayer:
         state = make_state(a, b)
         remaining = a.size * b.size
         for target in (1, 2, 7, 30, 100, 200):
-            layer = state.generate_next_layer(target, "standard")
+            layer = state.generate_next_layer(target)
             assert layer.size == min(target, remaining)
             remaining -= layer.size
 
@@ -216,10 +211,10 @@ class TestGenerateNextLayer:
         rng = np.random.default_rng(13)
         a = rng.integers(0, 5, size=16).astype(np.int64)
         b = rng.integers(0, 5, size=16).astype(np.int64)
-        state = make_state(a, b)
+        state = make_state(a, b, "wobbly")
         remaining = a.size * b.size
         for target in (1, 2, 7, 30):
-            layer = state.generate_next_layer(target, "wobbly")
+            layer = state.generate_next_layer(target)
             assert layer.size >= min(target, remaining)
             remaining -= layer.size
 
@@ -229,9 +224,9 @@ class TestGenerateNextLayer:
             state.generate_next_layer(0)
 
     def test_bad_mode_rejected(self):
-        state = make_state([1, 2], [3, 4])
+        """The mode is checked once, when the engine is made."""
         with pytest.raises(ConfigError):
-            state.generate_next_layer(1, "sideways")
+            make_state([1, 2], [3, 4], "sideways")
 
     def test_standard_work_guardrail(self):
         """Per emission, generated values stay within the pinned linear envelope."""
@@ -246,7 +241,7 @@ class TestGenerateNextLayer:
         while emitted < 100_000:
             target = next(schedule)
             before = state.values_generated
-            layer = state.generate_next_layer(target, "standard")
+            layer = state.generate_next_layer(target)
             assert layer is not None
             delta = state.values_generated - before
             assert delta <= G * 1.1 * 1.1 * target + G0

@@ -12,7 +12,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cartsel.loh import LohConfig, lohify
+from cartsel.loh import lohify
 from cartsel.oracle import brute_multi
 from cartsel.pairwise import MODES
 from cartsel.tree import TreeConfig, build_tree
@@ -80,4 +80,4 @@ def heap_values(draw):
 @given(st.fractions(1, 8, max_denominator=1000).filter(lambda a: a > 1), heap_values())
 def test_heap_layers_are_rank_slices(alpha, values):
     """Each layer, sorted, is its slice of the sorted input, at any rank."""
-    assert_layers_are_rank_slices(lohify(values, LohConfig(alpha)), values)
+    assert_layers_are_rank_slices(lohify(values, alpha), values)

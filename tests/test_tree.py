@@ -1,10 +1,12 @@
 """Tests for the balanced selection tree over m input arrays."""
 
+import gc
 import math
 import os
 import subprocess
 import sys
 import textwrap
+import weakref
 
 import numpy as np
 import pytest
@@ -17,8 +19,8 @@ from cartsel.errors import (
 )
 from cartsel.loh import verify_loh
 from cartsel.oracle import brute_multi
-from cartsel.pairwise import MODES, PairwiseState, select_pairwise
-from cartsel.tree import InternalNode, LeafNode, TreeConfig, build_tree
+from cartsel.pairwise import MODES, PairwiseState
+from cartsel.tree import InternalNode, LeafNode, TreeConfig, build_tree, select_pairwise
 from conftest import G, G0, NON_FINITE
 
 
@@ -34,7 +36,7 @@ class TestBuildTree:
             tree = build_tree(seeded_arrays(0, m, 3))
             expect = math.ceil(math.log2(m)) if m > 1 else 0
             assert tree.height == expect
-            assert tree.m == m
+            assert len(tree.leaves) == m
             assert len(tree.internals) == m - 1
 
     def test_total_is_product_of_sizes(self):
@@ -73,6 +75,17 @@ class TestBuildTree:
         with pytest.raises(InvalidValueError):
             build_tree([[2**62], [2**62], [2**62]])
 
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize(
+        "arrays", [[[-(2**63), 0]], [[-(2**62)], [-(2**62)]]], ids=["m1-min", "m2-sum-min"]
+    )
+    def test_int64_extremes_that_fit_are_accepted(self, mode, arrays):
+        """Only inputs whose sums can leave int64 are refused: a lone -2**63,
+        and two values summing to exactly -2**63, select like brute force."""
+        tree = build_tree(arrays, TreeConfig(mode=mode))
+        got = np.sort(tree.select_k(tree.total))
+        np.testing.assert_array_equal(got, brute_multi(arrays, tree.total))
+
     def test_bad_mode_rejected(self):
         with pytest.raises(ConfigError):
             TreeConfig(mode="diagonal")
@@ -80,6 +93,20 @@ class TestBuildTree:
     def test_bad_alpha_rejected(self):
         with pytest.raises(ConfigError):
             TreeConfig(alpha=0.9)
+
+    def test_alpha_is_read_once_per_tree(self):
+        """The configured rank is parsed once; every heap and node schedule
+        gets the parsed value."""
+        reads = []
+
+        class Rank(float):
+            def __str__(self):
+                reads.append(self)
+                return float.__repr__(self)
+
+        tree = build_tree(seeded_arrays(18, 5, 8), TreeConfig(alpha=Rank(1.1)))
+        tree.select_k(100)
+        assert len(reads) == 1
 
 
 class TestSelectK:
@@ -110,12 +137,18 @@ class TestSelectK:
         with pytest.raises(ContractError):
             tree.select_k(-1)
 
-    def test_sorted_output_flag(self):
-        arrays = seeded_arrays(4, 4, 6)
-        tree = build_tree(arrays, TreeConfig(sorted_output=True))
-        out = tree.select_k(100)
-        assert (np.diff(out) >= 0).all()
-        np.testing.assert_array_equal(out, brute_multi(arrays, 100))
+    def test_k_must_be_an_integer(self):
+        """k is read as an exact integer, numpy integers included; floats and
+        strings are refused rather than truncated or parsed."""
+        tree = build_tree(([1, 2], [3, 4]))
+        for k in (2.7, "3"):
+            with pytest.raises(ContractError):
+                tree.select_k(k)
+            with pytest.raises(ContractError):
+                select_pairwise([1, 2], [3, 4], k)
+        k = np.int64(3)
+        np.testing.assert_array_equal(np.sort(tree.select_k(k)), [4, 5, 5])
+        np.testing.assert_array_equal(np.sort(select_pairwise([1, 2], [3, 4], k)), [4, 5, 5])
 
     def test_single_array_tree(self):
         """m=1 degenerates to selecting from one array."""
@@ -393,6 +426,21 @@ class TestMemoryPinning:
                     assert not np.shares_memory(leaf.loh.values, a)
         select_pairwise(arrays[0], arrays[2], 5000)
         assert [a.tobytes() for a in arrays] == snapshots
+
+    def test_dropped_tree_is_freed_without_the_cycle_collector(self):
+        """Building a tree makes no reference cycle, so dropping the last
+        reference frees its heaps and nodes at once."""
+        gc.collect()
+        gc.disable()
+        try:
+            tree = build_tree(seeded_arrays(19, 5, 8))
+            tree.select_k(100)
+            heap = weakref.ref(tree.leaves[0].loh)
+            state = weakref.ref(tree.root.state)
+            del tree
+            assert heap() is None and state() is None
+        finally:
+            gc.enable()
 
     def test_single_array_answer_copies_out_of_the_heap(self):
         tree = build_tree([np.arange(100, dtype=np.int64)])
