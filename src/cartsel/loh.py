@@ -17,14 +17,20 @@ O(n max(1, log(1/(alpha-1)))), linear in n for fixed alpha.
 The selection primitives reorder the pool they are given in place and copy
 out only the head a caller keeps. A built heap's values are read-only, so a
 selection over a prefix of them copies it instead of mixing its layers.
+
+Outside inputs have one rule each: as_value_arrays coerces a group of inputs
+to one numeric profile without reading their values, check_extremes judges
+the group by each input's least and greatest value, and as_count reads k as
+an exact integer in range.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import operator
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -38,13 +44,14 @@ from .errors import (
 
 __all__ = [
     "LayerOrderedHeap",
-    "as_value_array",
+    "as_count",
+    "as_value_arrays",
+    "check_extremes",
     "layer_size_schedule",
     "layer_sizes",
     "linear_select",
     "lohify",
     "partition_by_value",
-    "unify_profile",
     "verify_loh",
 ]
 
@@ -122,38 +129,52 @@ def _coerce(values, name: str) -> np.ndarray:
     raise InvalidValueError(f"{name} has non-numeric dtype {arr.dtype}")
 
 
-def as_value_array(values, *, name="input") -> np.ndarray:
-    """Coerce one input to the numeric profile (int64 or float64) and check it.
+def as_value_arrays(inputs) -> list[np.ndarray]:
+    """Coerce each input to int64 or float64 and promote the group to one profile.
 
-    Float inputs must be finite: NaN and +-inf are rejected. An input already
-    in the profile may come back as itself, not a copy: callers must not
-    write to the result.
+    If any input is float the whole group becomes float64. No value of a
+    signed or float input is read: check_extremes judges the values. An input
+    already in the profile may come back as itself, not a copy: callers must
+    not write to the result.
     """
-    arr = _coerce(values, name)
-    if arr.dtype.kind == "f" and not np.isfinite(arr).all():
-        raise InvalidValueError(f"{name} contains NaN or infinite values")
-    return arr
-
-
-def unify_profile(arrays: list[np.ndarray]) -> list[np.ndarray]:
-    """Promote a group of ingested arrays to one profile and range-check it.
-
-    If any array is float the whole group becomes float64. An all-integer
-    group is checked so that no sum of one value from each of up to all m
-    arrays can overflow int64: every such partial sum lies between
-    m * min(0, lo) and m * max(0, hi).
-    """
+    arrays = [_coerce(x, f"input {i}") for i, x in enumerate(inputs)]
+    if not arrays:
+        raise EmptyInputError("need at least one input array")
     if any(a.dtype.kind == "f" for a in arrays):
-        return [a if a.dtype.kind == "f" else a.astype(np.float64) for a in arrays]
-    m = len(arrays)
-    lo = min(int(a.min()) for a in arrays)
-    hi = max(int(a.max()) for a in arrays)
-    if m * max(0, hi) > 2**63 - 1 or m * min(0, lo) < -(2**63):
-        raise InvalidValueError(
-            f"integer values in [{lo}, {hi}] could overflow int64 when "
-            f"summing {m} values"
-        )
-    return list(arrays)
+        return [a.astype(np.float64, copy=False) for a in arrays]
+    return arrays
+
+
+def check_extremes(los, his) -> None:
+    """Judge a group of inputs by their extremes: input i lies in [los[i], his[i]].
+
+    Every extreme must be finite: NaN and +-inf are refused, naming the input.
+    An integer group is refused when a sum of one value from each of up to
+    all m inputs could overflow int64: every such partial sum lies between
+    m * min(0, lo) and m * max(0, hi) over the group's lo and hi.
+    """
+    for i, (lo, hi) in enumerate(zip(los, his)):
+        # per input, before any reduction: min([1.0, nan]) is 1.0
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise InvalidValueError(f"input {i} contains NaN or infinite values")
+    if isinstance(los[0], numbers.Integral):  # the group shares one profile
+        m, lo, hi = len(los), int(min(los)), int(max(his))
+        if m * max(0, hi) > 2**63 - 1 or m * min(0, lo) < -(2**63):
+            raise InvalidValueError(
+                f"integer values in [{lo}, {hi}] could overflow int64 when "
+                f"summing {m} values"
+            )
+
+
+def as_count(k, lo, hi) -> int:
+    """k as an exact Python int in [lo, hi]; floats, strings and the like are refused."""
+    try:
+        k = operator.index(k)
+    except TypeError:
+        raise ContractError(f"k must be an integer, got {type(k).__name__}") from None
+    if not lo <= k <= hi:
+        raise ContractError(f"k={k} out of range [{lo}, {hi}]")
+    return k
 
 
 def linear_select(pool, k) -> tuple[np.ndarray, np.ndarray]:
@@ -169,9 +190,7 @@ def linear_select(pool, k) -> tuple[np.ndarray, np.ndarray]:
     """
     arr = np.asarray(pool)
     n = arr.size
-    k = int(k)
-    if not 0 <= k <= n:
-        raise ContractError(f"k={k} out of range for a pool of {n} values")
+    k = as_count(k, 0, n)
     if k == 0:
         return arr[:0], arr
     if k == n:
@@ -207,20 +226,19 @@ class LayerOrderedHeap:
     boundaries[i] is the cumulative end offset of layer i+1 (the last entry
     equals len(values)), as scheduled by the rank alpha, kept as given to
     lohify. Layers are addressed 1-based to match the indices carried by
-    selection tuples.
+    selection tuples. layer_mins[0] and layer_maxs[-1] are the heap's extremes.
     """
 
     values: np.ndarray
     boundaries: np.ndarray
     alpha: float | Fraction | str
-    layer_mins: np.ndarray | None = None
-    layer_maxs: np.ndarray | None = None
+    layer_mins: np.ndarray = field(init=False)
+    layer_maxs: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if self.layer_mins is None:
-            starts = self._starts()
-            self.layer_mins = np.minimum.reduceat(self.values, starts)
-            self.layer_maxs = np.maximum.reduceat(self.values, starts)
+        starts = self._starts()
+        self.layer_mins = np.minimum.reduceat(self.values, starts)
+        self.layer_maxs = np.maximum.reduceat(self.values, starts)
 
     def _starts(self) -> np.ndarray:
         starts = np.zeros(len(self.boundaries), dtype=np.int64)
@@ -246,8 +264,8 @@ def lohify(values, alpha=1.1) -> LayerOrderedHeap:
     O(n max(1, log(1/(alpha-1)))). The values end up read-only.
 
     Values must be finite. They are not scanned up front: NaN and +inf order
-    into the last layer and -inf into the first, so the first layer's min and
-    the last layer's max reveal them once the heap is built.
+    into the last layer and -inf into the first, so check_extremes finds them
+    in the first layer's min and the last layer's max once the heap is built.
     """
     work = _coerce(values, "values").copy()
     bounds = np.cumsum(layer_sizes(alpha, len(work)), dtype=np.int64)
@@ -271,8 +289,7 @@ def lohify(values, alpha=1.1) -> LayerOrderedHeap:
         spans.append((cut, hi, j + 1, c1))
     work.flags.writeable = False
     heap = LayerOrderedHeap(work, bounds, alpha)
-    if not (np.isfinite(heap.layer_mins[0]) and np.isfinite(heap.layer_maxs[-1])):
-        raise InvalidValueError("values must be finite, without NaN or +-inf")
+    check_extremes(heap.layer_mins[:1].tolist(), heap.layer_maxs[-1:].tolist())
     return heap
 
 

@@ -2,7 +2,9 @@
 
 Both functions materialize the full sum multiset, sort it, and slice. They
 are deliberately independent of the layered selection code so they can serve
-as its oracle, and they refuse to run past a size cap.
+as its oracle, and they refuse to run past a size cap. They hold inputs and
+k to the engine's rules: check_extremes on each input's min() and max(), and
+as_count for k.
 """
 
 from __future__ import annotations
@@ -11,8 +13,8 @@ import math
 
 import numpy as np
 
-from .errors import ContractError, EmptyInputError, ResourceLimitError
-from .loh import as_value_array, unify_profile
+from .errors import ResourceLimitError
+from .loh import as_count, as_value_arrays, check_extremes
 
 __all__ = ["DEFAULT_CAP", "brute_multi", "brute_pairwise"]
 
@@ -21,31 +23,17 @@ DEFAULT_CAP = 1 << 24
 
 def brute_pairwise(a, b, k, cap: int = DEFAULT_CAP) -> np.ndarray:
     """The k smallest of all |a|*|b| pairwise sums, sorted ascending."""
-    left, right = unify_profile([as_value_array(a, name="a"), as_value_array(b, name="b")])
-    total = left.size * right.size
-    if total > cap:
-        raise ResourceLimitError(f"pairwise product holds {total} sums, above cap {cap}")
-    k = int(k)
-    if not 0 <= k <= total:
-        raise ContractError(f"k={k} out of range [0, {total}]")
-    sums = np.sort(np.add.outer(left, right), axis=None)
-    return sums[:k]
+    return brute_multi([a, b], k, cap)
 
 
 def brute_multi(inputs, k, cap: int = DEFAULT_CAP) -> np.ndarray:
     """The k smallest sums drawing one value from each input, sorted ascending."""
-    seq = list(inputs)
-    if not seq:
-        raise EmptyInputError("need at least one input array")
-    arrays = unify_profile(
-        [as_value_array(x, name=f"input {i}") for i, x in enumerate(seq)]
-    )
+    arrays = as_value_arrays(inputs)
+    check_extremes([a.min() for a in arrays], [a.max() for a in arrays])
     total = math.prod(a.size for a in arrays)
     if total > cap:
         raise ResourceLimitError(f"full product holds {total} sums, above cap {cap}")
-    k = int(k)
-    if not 0 <= k <= total:
-        raise ContractError(f"k={k} out of range [0, {total}]")
+    k = as_count(k, 0, total)
     acc = arrays[0]
     for arr in arrays[1:]:
         acc = np.add.outer(acc, arr).ravel()

@@ -14,28 +14,29 @@ back in no set order.
 
 TreeConfig reads the rank alpha and the mode once per tree: every leaf heap
 and node schedule gets the one parsed Fraction, and every node engine the one
-mode. Two-array selection is the two-leaf tree.
+mode. Two-array selection is the two-leaf tree. Inputs are judged by the loh
+rules: values by check_extremes on the built leaves, k by as_count.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, EmptyInputError
+from .errors import ConfigError, InvalidValueError
 from .loh import (
     LayerOrderedHeap,
     _alpha_fraction,
-    as_value_array,
+    as_count,
+    as_value_arrays,
+    check_extremes,
     layer_size_schedule,
     linear_select,
     lohify,
-    unify_profile,
 )
 from .pairwise import MODES, PairwiseState
 
@@ -182,9 +183,7 @@ class CartesianProductTree:
 
     def select_k(self, k) -> np.ndarray:
         """The k smallest m-fold sums as one array, in no set order."""
-        k = _index(k)
-        if not 0 <= k <= self.total:
-            raise ContractError(f"k={k} out of range [0, {self.total}]")
+        k = as_count(k, 0, self.total)
         if k == 0:
             return np.empty(0, dtype=self.dtype)
         root = self.root
@@ -223,17 +222,20 @@ def build_tree(inputs, config: TreeConfig | None = None) -> CartesianProductTree
 
     The split is left-heavy (ceil(m/2) inputs go left), so the shape is
     deterministic and the height is ceil(log2 m). Building performs no
-    selection work beyond lohifying each input.
+    selection work beyond lohifying each input. No input value is read before
+    lohify's one copy: check_extremes judges each built heap's extremes.
     """
     cfg = config if config is not None else TreeConfig()
-    seq = list(inputs)
-    if not seq:
-        raise EmptyInputError("need at least one input array")
-    arrays = unify_profile(
-        [as_value_array(x, name=f"input {i}") for i, x in enumerate(seq)]
-    )
+    arrays = as_value_arrays(inputs)
     alpha = cfg.alpha_fraction
-    leaves = [LeafNode(lohify(a, alpha), label=f"leaf{i}") for i, a in enumerate(arrays)]
+    leaves = []
+    for i, a in enumerate(arrays):
+        try:
+            heap = lohify(a, alpha)
+        except InvalidValueError:  # lohify's own extremes check cannot name the input
+            raise InvalidValueError(f"input {i} contains NaN or infinite values") from None
+        leaves.append(LeafNode(heap, label=f"leaf{i}"))
+    check_extremes([leaf.mins[0] for leaf in leaves], [leaf.maxs[-1] for leaf in leaves])
     internals: list[InternalNode] = []
     root = _subtree(leaves, 0, len(leaves), cfg.mode, alpha, internals)
     return CartesianProductTree(root, leaves, internals, arrays[0].dtype)
@@ -262,16 +264,5 @@ def select_pairwise(a, b, k, alpha=1.1) -> np.ndarray:
     This is the two-leaf tree, with k >= 1.
     """
     tree = build_tree([a, b], TreeConfig(alpha=alpha))
-    k = _index(k)
-    if k < 1:
-        raise ContractError(f"k={k} out of range [1, {tree.total}]")
-    return tree.select_k(k)
-
-
-def _index(k) -> int:
-    """k as an exact Python int; floats, strings and the like are refused."""
-    try:
-        return operator.index(k)
-    except TypeError:
-        raise ContractError(f"k must be an integer, got {type(k).__name__}") from None
+    return tree.select_k(as_count(k, 1, tree.total))
 

@@ -13,13 +13,13 @@ from cartsel.errors import (
 )
 from cartsel.loh import (
     LayerOrderedHeap,
-    as_value_array,
+    as_value_arrays,
+    check_extremes,
     layer_size_schedule,
     layer_sizes,
     linear_select,
     lohify,
     partition_by_value,
-    unify_profile,
     verify_loh,
 )
 from conftest import NON_FINITE, assert_layers_are_rank_slices
@@ -86,64 +86,68 @@ class TestLayerSizeSchedule:
 
 
 class TestAsValueArray:
+    """Coercion by as_value_arrays; non-finite values are refused by the
+    extremes check when lohify builds the heap."""
+
     def test_int_list_to_int64(self):
-        arr = as_value_array([3, 1, 2])
+        (arr,) = as_value_arrays([[3, 1, 2]])
         assert arr.dtype == np.int64
         np.testing.assert_array_equal(arr, [3, 1, 2])
 
     def test_bool_promotes_to_int64(self):
-        arr = as_value_array(np.array([True, False, True]))
+        (arr,) = as_value_arrays([np.array([True, False, True])])
         assert arr.dtype == np.int64
         np.testing.assert_array_equal(arr, [1, 0, 1])
 
     def test_float_list_to_float64(self):
-        arr = as_value_array([1.5, -2.25])
+        (arr,) = as_value_arrays([[1.5, -2.25]])
         assert arr.dtype == np.float64
 
     def test_uint64_in_range(self):
-        arr = as_value_array(np.array([5, 7], dtype=np.uint64))
+        (arr,) = as_value_arrays([np.array([5, 7], dtype=np.uint64)])
         assert arr.dtype == np.int64
 
     def test_uint64_overflow_rejected(self):
         with pytest.raises(InvalidValueError):
-            as_value_array(np.array([2**63], dtype=np.uint64))
+            as_value_arrays([np.array([2**63], dtype=np.uint64)])
 
     def test_two_dimensional_rejected(self):
         with pytest.raises(ContractError):
-            as_value_array(np.zeros((2, 2)))
+            as_value_arrays([np.zeros((2, 2))])
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyInputError):
-            as_value_array([])
+            as_value_arrays([[]])
+        with pytest.raises(EmptyInputError):
+            as_value_arrays([])
 
     def test_nan_rejected(self):
         with pytest.raises(InvalidValueError):
-            as_value_array([1.0, float("nan")])
+            lohify([1.0, float("nan")])
 
     @pytest.mark.parametrize("bad", (float("inf"), float("-inf")))
     def test_infinity_rejected(self, bad):
         with pytest.raises(InvalidValueError):
-            as_value_array([1.0, bad])
+            lohify([1.0, bad])
 
     def test_non_numeric_rejected(self):
         with pytest.raises(InvalidValueError):
-            as_value_array(["a", "b"])
+            as_value_arrays([["a", "b"]])
 
-
-class TestUnifyProfile:
     def test_all_int_stays_int(self):
-        arrays = unify_profile([as_value_array([1, 2]), as_value_array([3])])
+        arrays = as_value_arrays([[1, 2], [3]])
         assert all(a.dtype == np.int64 for a in arrays)
 
     def test_mixed_promotes_to_float(self):
-        arrays = unify_profile([as_value_array([1, 2]), as_value_array([0.5])])
+        arrays = as_value_arrays([[1, 2], [0.5]])
         assert all(a.dtype == np.float64 for a in arrays)
 
+
+class TestCheckExtremes:
     def test_sum_overflow_rejected(self):
         """Two arrays whose worst-case sum exceeds int64 are refused up front."""
-        big = as_value_array(np.array([2**62], dtype=np.int64))
         with pytest.raises(InvalidValueError):
-            unify_profile([big, big])
+            check_extremes([2**62, 2**62], [2**62, 2**62])
 
 
 class TestLinearSelect:
@@ -215,6 +219,14 @@ class TestLinearSelect:
             linear_select(pool, -1)
         with pytest.raises(ContractError):
             linear_select(pool, 6)
+
+    def test_k_must_be_an_integer(self):
+        """k is read as select_k reads it: floats and strings are refused."""
+        for k in (2.7, "3"):
+            with pytest.raises(ContractError):
+                linear_select(np.arange(5), k)
+        head, _ = linear_select(np.arange(5)[::-1].copy(), np.int64(3))
+        np.testing.assert_array_equal(np.sort(head), [0, 1, 2])
 
     def test_head_owns_its_data(self):
         """A kept head never pins the larger pool it was selected from."""

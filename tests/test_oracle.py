@@ -44,6 +44,13 @@ class TestBrutePairwise:
         got = brute_pairwise([0.5, 1.5], [0.25], 2)
         np.testing.assert_allclose(got, [0.75, 1.75])
 
+    def test_k_must_be_an_integer(self):
+        """k is read as select_k reads it: floats and strings are refused."""
+        for k in (2.7, "3"):
+            with pytest.raises(ContractError):
+                brute_pairwise([1, 2], [3, 4], k)
+        np.testing.assert_array_equal(brute_pairwise([1, 2], [3, 4], np.int64(3)), [4, 5, 5])
+
 
 class TestBruteMulti:
     def test_single_array(self):
@@ -71,6 +78,27 @@ class TestBruteMulti:
     def test_non_finite_rejected(self, bad):
         with pytest.raises(InvalidValueError):
             brute_multi([[1.0, 2.0], [bad]], 1)
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    @pytest.mark.parametrize("at", (0, 2, 4), ids=["front", "middle", "end"])
+    def test_non_finite_in_a_later_input_is_named(self, bad, at):
+        """A bad value anywhere in input 1 is refused, and input 1 is named."""
+        second = np.arange(5, dtype=np.float64)
+        second[at] = bad
+        with pytest.raises(InvalidValueError, match="input 1"):
+            brute_multi([[1.0, 2.0, 3.0], second], 1)
+
+    @pytest.mark.parametrize("extreme", (2**62, -(2**62) - 1))
+    def test_sum_overflow_from_the_last_input_alone(self, extreme):
+        with pytest.raises(InvalidValueError):
+            brute_multi([[0, 1], [0, 1], [0, extreme]], 1)
+
+    def test_k_must_be_an_integer(self):
+        """k is read as select_k reads it: floats and strings are refused."""
+        for k in (2.7, "3"):
+            with pytest.raises(ContractError):
+                brute_multi([[1, 2], [3, 4]], k)
+        np.testing.assert_array_equal(brute_multi([[1, 2], [3, 4]], np.int64(3)), [4, 5, 5])
 
     def test_k_out_of_range(self):
         with pytest.raises(ContractError):

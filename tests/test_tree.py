@@ -71,9 +71,25 @@ class TestBuildTree:
         with pytest.raises(InvalidValueError):
             build_tree([[bad, 1.0], [2.0, 3.0]], TreeConfig(mode=mode))
 
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    @pytest.mark.parametrize("at", (0, 2, 4), ids=["front", "middle", "end"])
+    def test_non_finite_in_a_later_input_is_named(self, mode, bad, at):
+        """A bad value anywhere in input 1 is refused, and input 1 is named."""
+        second = np.arange(5, dtype=np.float64)
+        second[at] = bad
+        with pytest.raises(InvalidValueError, match="input 1"):
+            build_tree([[1.0, 2.0, 3.0], second], TreeConfig(mode=mode))
+
     def test_sum_overflow_rejected(self):
         with pytest.raises(InvalidValueError):
             build_tree([[2**62], [2**62], [2**62]])
+
+    @pytest.mark.parametrize("extreme", (2**62, -(2**62) - 1))
+    def test_sum_overflow_from_the_last_input_alone(self, extreme):
+        """The int64 sum rule holds when only the last input reaches the extreme."""
+        with pytest.raises(InvalidValueError):
+            build_tree([[0, 1], [0, 1], [0, extreme]])
 
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize(
