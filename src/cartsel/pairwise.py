@@ -9,26 +9,33 @@ The engine works on layer products A(u) + B(v): the multiset of sums of one
 value from layer u of the left stream and one from layer v of the right.
 A binary heap orders two kinds of tuples per product, a min tuple valued
 min(A(u)) + min(B(v)) and a max tuple valued max(A(u)) + max(B(v)). Popping
-a min tuple generates the product's values into a carry buffer and proposes
-its grid neighbours: (u, v+1), plus (u+1, 1) when v == 1. Every product
-other than (1, 1) has exactly one proposer, (u, v-1) or (u-1, 1), whose min
-is no larger than its own, so no product is proposed twice and none is
-proposed too late. Pricing a proposal asks a child for at most one layer
-past the deepest one this node has expanded; proposals a child can never
-satisfy are skipped. Popping a max tuple certifies that the whole product
-now precedes everything not yet generated.
+a min tuple counts the product's values into the carry, records that row u
+now reaches column v, and proposes its grid neighbours: (u, v+1), plus
+(u+1, 1) when v == 1. Every product other than (1, 1) has exactly one
+proposer, (u, v-1) or (u-1, 1), whose min is no larger than its own, so no
+product is proposed twice and none is proposed too late. Pricing a proposal
+asks a child for at most one layer past the deepest one this node has
+expanded; proposals a child can never satisfy are skipped. Popping a max
+tuple certifies that the whole product now precedes everything not yet
+generated.
 
-Layers are emitted from the carry buffer once enough values are certified:
-standard mode takes exactly the requested count with a linear select, wobbly
-mode takes every carry value at or below the certifying bound in one value
-partition. Both partition the concatenated carry in place and copy out only
-the emitted layer; the unemitted values stay behind as a view into that pool
-and form the next carry, so no value is ever dropped or duplicated.
+A row's products are expanded in column order, so the columns a row
+reaches between two emissions form one run v0..v1. Values are written only
+at an emission: one buffer of exactly the carry's size receives the kept
+carry, then one block of sums per pending row, layer u of the left stream
+plus layers v0..v1 of the right. Layers are emitted from that buffer once
+enough values are certified: standard mode takes exactly the requested count
+with a linear select, wobbly mode takes every carry value at or below the
+certifying bound in one value partition. Both partition the buffer in place
+and copy out only the emitted layer; the unemitted values stay behind as a
+view into it and form the next carry, so no value is ever dropped or
+duplicated.
 """
 
 from __future__ import annotations
 
 import heapq
+import operator
 from typing import NamedTuple
 
 import numpy as np
@@ -70,6 +77,9 @@ class PairwiseState:
     every layer is emitted. Emitted layers accumulate in self.layers, with
     their extremes in self.mins and self.maxs, the same fields a parent
     reads, and together form a layer-ordered heap of the sum multiset.
+    carry holds the written values not yet emitted; rows maps each row with
+    expanded but unwritten products to its column run [v0, v1], written at
+    the next emission. carry_count counts the values of both.
     """
 
     def __init__(self, left, right, mode: str):
@@ -79,7 +89,8 @@ class PairwiseState:
         self.right = right
         self.mode = mode
         self.heap: list[ProductTuple] = []
-        self.carry: list[np.ndarray] = []
+        self.carry = np.empty(0)
+        self.rows: dict[int, list[int]] = {}
         self.carry_count = 0
         # s = (total size of max-popped products) - (total values emitted).
         # It lower-bounds how many carry values precede everything not yet
@@ -111,17 +122,19 @@ class PairwiseState:
         self._push_min(1, 1)
 
     def expand_min(self, t: ProductTuple) -> None:
-        """Generate the popped product's values and propose its successors.
+        """Count the popped product into the carry and propose its successors.
 
-        The successors are the next product in the row, (u, v+1), and, from
-        the first column only, the first product of the next row, (u+1, 1).
+        Its values are written at the next emission, with the rest of row
+        u's run. The successors are the next product in the row, (u, v+1),
+        and, from the first column only, the first product of the next row,
+        (u+1, 1).
         """
         u, v = t.u, t.v
         left, right = self.left, self.right
-        chunk = np.add.outer(left.layers[u - 1], right.layers[v - 1]).ravel()
-        self.carry.append(chunk)
-        self.carry_count += chunk.size
-        self.values_generated += chunk.size
+        self.rows.setdefault(u, [v, v])[1] = v
+        size = left.layers[u - 1].size * right.layers[v - 1].size
+        self.carry_count += size
+        self.values_generated += size
         value = left.maxs[u - 1] + right.maxs[v - 1]
         heapq.heappush(self.heap, ProductTuple(value, False, u, v))
         self._push_min(u, v + 1)
@@ -144,13 +157,27 @@ class PairwiseState:
         self.layers.append(layer)
         self.mins.append(layer.min().item())
         self.maxs.append(layer.max().item())
-        self.carry = [rest] if rest.size else []
+        # an empty view would still pin the whole pool
+        self.carry = rest if rest.size else rest.copy()
         self.carry_count = int(rest.size)
         self.s -= int(layer.size)
         return layer
 
     def _carry_pool(self) -> np.ndarray:
-        return self.carry[0] if len(self.carry) == 1 else np.concatenate(self.carry)
+        """Write the kept carry and every pending row into one exact buffer."""
+        if not self.rows:
+            return self.carry
+        left, right = self.left.layers, self.right.layers
+        pool = np.empty(self.carry_count, np.result_type(left[0].dtype, right[0].dtype))
+        end = self.carry.size
+        pool[:end] = self.carry
+        for u, (v0, v1) in self.rows.items():
+            a = left[u - 1]
+            b = right[v0 - 1] if v0 == v1 else np.concatenate(right[v0 - 1 : v1])
+            start, end = end, end + a.size * b.size
+            np.add(a[:, None], b, out=pool[start:end].reshape(a.size, b.size))
+        self.rows.clear()
+        return pool
 
     def generate_next_layer(self, target):
         """Emit the next layer of smallest remaining sums, or None at exhaustion.
@@ -165,7 +192,12 @@ class PairwiseState:
         negative, and repaying that deficit forces ever larger bounds, so the
         overshoot would compound exponentially along the value stream.
         """
-        target = int(target)
+        try:
+            target = operator.index(target)
+        except TypeError:
+            raise ContractError(
+                f"layer target must be an integer, got {type(target).__name__}"
+            ) from None
         if target < 1:
             raise ContractError(f"layer target must be >= 1, got {target}")
         if not self.started:
@@ -191,7 +223,7 @@ class PairwiseState:
                     return self._emit(layer, rest)
                 # a tie band came up short: keep the pool as the carry and
                 # certify until the band holds target or the product runs out
-                self.carry = [pool]
+                self.carry = pool
                 need = target - int(layer.size)
             elif not heap:
                 return None

@@ -8,7 +8,7 @@ import pytest
 
 import cartsel.pairwise as pairwise_mod
 from cartsel.errors import ConfigError, ContractError, InvalidValueError
-from cartsel.loh import lohify
+from cartsel.loh import linear_select, lohify, partition_by_value
 from cartsel.oracle import brute_pairwise
 from cartsel.pairwise import MODES, PairwiseState, ProductTuple
 from cartsel.tree import LeafNode, TreeConfig, build_tree, select_pairwise
@@ -105,15 +105,24 @@ class TestExpandMin:
         state.expand_min(ProductTuple(0, is_min=True, u=n_layers, v=1))
         assert heap_refs(state) == {(n_layers, 1, True), (n_layers, 2, False)}
 
-    def test_generates_the_product_block(self):
+    def test_generates_the_product_block(self, monkeypatch):
+        """Expanding (2, 2) counts its 4 values at once; they are written into
+        the pool at the next emission, and the unemitted ones stay carried."""
+        pools = []
+
+        def spy(pool, k):
+            pools.append(np.sort(pool))
+            return linear_select(pool, k)
+
+        monkeypatch.setattr(pairwise_mod, "linear_select", spy)
         state = make_state([1, 2, 3, 4, 5, 6], [10, 20, 30, 40, 50, 60])
         state.left.ensure(2)
         state.right.ensure(2)
         state.expand_min(ProductTuple(0, is_min=True, u=2, v=2))
         assert state.values_generated == 4
-        np.testing.assert_array_equal(
-            np.sort(np.concatenate(state.carry)), [22, 23, 32, 33]
-        )
+        assert state.generate_next_layer(1).tolist() == [11]
+        np.testing.assert_array_equal(pools, [[11, 22, 23, 32, 33]])
+        np.testing.assert_array_equal(np.sort(state.carry), [22, 23, 32, 33])
 
 
 class TestProposals:
@@ -218,10 +227,53 @@ class TestGenerateNextLayer:
             assert layer.size >= min(target, remaining)
             remaining -= layer.size
 
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("hi", (4, 1 << 20))
+    @pytest.mark.parametrize("targets", ((1,), (3, 7), (5, 40, 2)))
+    def test_carry_accounting(self, monkeypatch, mode, hi, targets):
+        """Through a full drain, every generated value is emitted or carried,
+        and each pool holds exactly the counted carry: no pending row is left
+        unwritten or written twice. Wobbly's short-tie-band retry is reached
+        with rows pending and writes them into a fresh pool."""
+        state = None
+        pools = []  # (layers emitted before the call, pool size)
+
+        def spy(select):
+            def wrapper(pool, arg):
+                assert pool.size == state.carry_count and not state.rows
+                pools.append((len(state.layers), pool.size))
+                return select(pool, arg)
+
+            return wrapper
+
+        monkeypatch.setattr(pairwise_mod, "linear_select", spy(linear_select))
+        monkeypatch.setattr(pairwise_mod, "partition_by_value", spy(partition_by_value))
+        rng = np.random.default_rng(hi)
+        a = rng.integers(0, hi, size=40).astype(np.int64)
+        b = rng.integers(0, hi, size=33).astype(np.int64)
+        state = make_state(a, b, mode)
+        layers = []
+        for i in range(a.size * b.size + 1):
+            layer = state.generate_next_layer(targets[i % len(targets)])
+            if layer is None:
+                break
+            layers.append(layer)
+            emitted = sum(x.size for x in layers)
+            assert state.values_generated == emitted + state.carry_count
+        assert state.values_generated == emitted and state.carry_count == 0
+        np.testing.assert_array_equal(
+            np.sort(np.concatenate(layers)), brute_pairwise(a, b, a.size * b.size)
+        )
+        if mode == "wobbly" and hi == 4:
+            retries = [p[1] > q[1] for q, p in zip(pools, pools[1:]) if p[0] == q[0]]
+            assert len(pools) > len(layers) and any(retries)
+
     def test_bad_target_rejected(self):
         state = make_state([1, 2], [3, 4])
-        with pytest.raises(ContractError):
-            state.generate_next_layer(0)
+        for bad in (0, 2.7, "3"):
+            with pytest.raises(ContractError, match="layer target"):
+                state.generate_next_layer(bad)
+        assert sorted(state.generate_next_layer(np.int64(3)).tolist()) == [4, 5, 5]
 
     def test_bad_mode_rejected(self):
         """The mode is checked once, when the engine is made."""
