@@ -52,12 +52,6 @@ EXIT_RANGE = 3
 BENCH_MODES = MODES + ("naive",)
 
 
-def _format_value(v) -> str:
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return repr(float(v))
-
-
 def read_instance(path) -> list[np.ndarray]:
     """Parse an instance file into one array per non-comment line."""
     rows: list[list] = []
@@ -104,7 +98,7 @@ def read_instance(path) -> list[np.ndarray]:
 def write_instance(arrays, fh) -> None:
     """Write arrays as an instance file, one line per array."""
     for arr in arrays:
-        fh.write(" ".join(_format_value(v) for v in arr))
+        fh.write(" ".join(map(str, np.asarray(arr).tolist())))
         fh.write("\n")
 
 
@@ -147,9 +141,7 @@ def cmd_select(args) -> int:
         result = np.sort(result)
     t2 = time.perf_counter()
     with _open_out(args.out) as out:
-        for v in result:
-            out.write(_format_value(v))
-            out.write("\n")
+        out.writelines(f"{v}\n" for v in result.tolist())
     snap = tree.stats()
     print(f"runtime_seconds={t2 - t0!r}", file=sys.stderr)
     print(f"runtime_excl_load_seconds={t2 - t1!r}", file=sys.stderr)
@@ -263,6 +255,14 @@ def _trim_int(x):
     return int(x) if float(x).is_integer() else x
 
 
+def _k_exponent(digits: str, spec: str) -> int:
+    """An exponent of 2 in a k spec, refused above 62 (k past int64) before any power."""
+    e = digits.lstrip("0") or "0"  # long digit strings are not read as ints
+    if len(e) > 2 or int(e) > 62:
+        raise ConfigError(f"k exponent {e} in {spec!r} is above 62")
+    return int(e)
+
+
 def parse_k_spec(spec: str) -> list[int]:
     """Read a k list: '4,8,64', '2^12', or a power range '2^10..2^20'.
 
@@ -272,7 +272,7 @@ def parse_k_spec(spec: str) -> list[int]:
     spec = spec.strip()
     rng = re.fullmatch(r"2\^(\d+)\.\.2\^(\d+)", spec)
     if rng:
-        lo, hi = int(rng.group(1)), int(rng.group(2))
+        lo, hi = (_k_exponent(e, spec) for e in rng.groups())
         if lo > hi:
             raise ConfigError(f"empty k range {spec!r}")
         ks = [2**e for e in range(lo, hi + 1)]
@@ -282,7 +282,7 @@ def parse_k_spec(spec: str) -> list[int]:
             tok = tok.strip()
             pw = re.fullmatch(r"2\^(\d+)", tok)
             if pw:
-                ks.append(2 ** int(pw.group(1)))
+                ks.append(2 ** _k_exponent(pw.group(1), spec))
                 continue
             try:
                 ks.append(int(tok))

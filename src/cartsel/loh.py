@@ -14,14 +14,14 @@ Each level of the recursion moves at most n values, and a value is moved
 at about log2(1/(alpha-1)) levels, so total work is
 O(n max(1, log(1/(alpha-1)))), linear in n for fixed alpha.
 
-The selection primitives reorder the pool they are given in place and copy
-out only the head a caller keeps. A built heap's values are read-only, so a
-selection over a prefix of them copies it instead of mixing its layers.
+The selection primitives reorder a one-dimensional pool in place and copy
+out only the head a caller keeps, always as a new array. A built heap's
+values are read-only, so a selection over them copies them first.
 
 Outside inputs have one rule each: as_value_arrays coerces a group of inputs
 to one numeric profile without reading their values, check_extremes judges
-the group by each input's least and greatest value, and as_count reads k as
-an exact integer in range.
+the group by each input's least and greatest value, and as_count reads every
+count (k, a layer target, a value count) as an exact integer in range.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 import numbers
 import operator
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -94,9 +95,7 @@ def layer_sizes(alpha, n) -> list[int]:
 
     layer_sizes(2, 15) == [1, 2, 4, 8]; layer_sizes(1.1, 10) == [1, 2, 3, 4].
     """
-    n = int(n)
-    if n < 0:
-        raise ContractError(f"cannot schedule layers for n={n}")
+    n = as_count(n, 0, math.inf, "n")
     if n == 0:
         raise EmptyInputError("cannot schedule layers for zero values")
     sizes: list[int] = []
@@ -112,7 +111,10 @@ def layer_sizes(alpha, n) -> list[int]:
 
 def _coerce(values, name: str) -> np.ndarray:
     """The input in the numeric profile (int64 or float64), float values unscanned."""
-    arr = np.asarray(values)
+    try:
+        arr = np.asarray(values)
+    except ValueError:  # numpy refuses ragged nesting
+        raise ContractError(f"{name} must be one-dimensional, got ragged nesting") from None
     if arr.ndim != 1:
         raise ContractError(f"{name} must be one-dimensional, got shape {arr.shape}")
     if arr.size == 0:
@@ -149,55 +151,56 @@ def check_extremes(los, his) -> None:
     """Judge a group of inputs by their extremes: input i lies in [los[i], his[i]].
 
     Every extreme must be finite: NaN and +-inf are refused, naming the input.
-    An integer group is refused when a sum of one value from each of up to
-    all m inputs could overflow int64: every such partial sum lies between
-    m * min(0, lo) and m * max(0, hi) over the group's lo and hi.
+    A group is refused when a sum of one value from each of up to all m
+    inputs could leave int64, or exceed the largest finite float64: every
+    such sum lies in [m * min(0, lo), m * max(0, hi)] over the group.
     """
     for i, (lo, hi) in enumerate(zip(los, his)):
         # per input, before any reduction: min([1.0, nan]) is 1.0
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise InvalidValueError(f"input {i} contains NaN or infinite values")
-    if isinstance(los[0], numbers.Integral):  # the group shares one profile
-        m, lo, hi = len(los), int(min(los)), int(max(his))
-        if m * max(0, hi) > 2**63 - 1 or m * min(0, lo) < -(2**63):
-            raise InvalidValueError(
-                f"integer values in [{lo}, {hi}] could overflow int64 when "
-                f"summing {m} values"
-            )
+    m, lo, hi = len(los), min(los), max(his)
+    if isinstance(lo, numbers.Integral):  # Python ints: numpy int64 products wrap
+        lo, hi, bottom, top = int(lo), int(hi), -(2**63), 2**63 - 1
+    else:
+        lo, hi, bottom, top = float(lo), float(hi), -sys.float_info.max, sys.float_info.max
+    if m * max(0, hi) > top or m * min(0, lo) < bottom:
+        raise InvalidValueError(f"sums of {m} values in [{lo}, {hi}] could leave [{bottom}, {top}]")
 
 
-def as_count(k, lo, hi) -> int:
-    """k as an exact Python int in [lo, hi]; floats, strings and the like are refused."""
+def as_count(value, lo, hi, name) -> int:
+    """value as an exact Python int in [lo, hi]; name only labels the error."""
     try:
-        k = operator.index(k)
+        value = operator.index(value)
     except TypeError:
-        raise ContractError(f"k must be an integer, got {type(k).__name__}") from None
-    if not lo <= k <= hi:
-        raise ContractError(f"k={k} out of range [{lo}, {hi}]")
-    return k
+        raise ContractError(f"{name} must be an integer, got {type(value).__name__}") from None
+    if not lo <= value <= hi:
+        raise ContractError(f"{name}={value} out of range [{lo}, {hi}]")
+    return value
 
 
 def linear_select(pool, k) -> tuple[np.ndarray, np.ndarray]:
-    """Partition pool in place so a k-smallest multiset comes first.
+    """Partition a one-dimensional pool in place so a k-smallest multiset comes first.
 
     Returns (head, tail): head holds k values forming a smallest-k multiset
     of the pool, tail holds the rest; neither is in any particular order.
     One ndarray.partition call reorders the pool itself (a read-only pool is
     copied first): introselect, whose median-of-medians fallback keeps the
-    worst case linear. The head owns its data, because callers keep it (an
-    emitted layer lives as long as the tree) and a view would pin the whole
-    pool; the tail is a view into the pool, reused only as the next carry.
+    worst case linear. The head is always a new array, because callers keep
+    it (an emitted layer lives as long as the tree) and a view would pin the
+    whole pool. The tail is a view into the pool, reused only as the next
+    carry, or a new empty array when the head takes every value.
     """
     arr = np.asarray(pool)
-    n = arr.size
-    k = as_count(k, 0, n)
-    if k == 0:
-        return arr[:0], arr
-    if k == n:
-        return (arr if arr.base is None else arr.copy()), arr[:0]
-    if not arr.flags.writeable:
-        arr = arr.copy()
-    arr.partition(k - 1)
+    if arr.ndim != 1:
+        raise ContractError(f"pool must be one-dimensional, got shape {arr.shape}")
+    k = as_count(k, 0, arr.size, "k")
+    if k == arr.size:
+        return arr.copy(), np.empty(0, arr.dtype)
+    if k:
+        if not arr.flags.writeable:
+            arr = arr.copy()
+        arr.partition(k - 1)
     return arr[:k].copy(), arr[k:]
 
 
@@ -208,8 +211,6 @@ def partition_by_value(pool, bound) -> tuple[np.ndarray, np.ndarray]:
     is linear_select(pool, count).
     """
     arr = np.asarray(pool)
-    if arr.ndim != 1:
-        raise ContractError(f"pool must be one-dimensional, got shape {arr.shape}")
     try:
         bad = bool(np.isnan(bound))
     except TypeError:

@@ -33,7 +33,7 @@ def brute_multi(inputs, k, cap: int = DEFAULT_CAP) -> np.ndarray:
     total = math.prod(a.size for a in arrays)
     if total > cap:
         raise ResourceLimitError(f"full product holds {total} sums, above cap {cap}")
-    k = as_count(k, 0, total)
+    k = as_count(k, 0, total, "k")
     acc = arrays[0]
     for arr in arrays[1:]:
         acc = np.add.outer(acc, arr).ravel()

@@ -13,11 +13,11 @@ a min tuple counts the product's values into the carry, records that row u
 now reaches column v, and proposes its grid neighbours: (u, v+1), plus
 (u+1, 1) when v == 1. Every product other than (1, 1) has exactly one
 proposer, (u, v-1) or (u-1, 1), whose min is no larger than its own, so no
-product is proposed twice and none is proposed too late. Pricing a proposal
-asks a child for at most one layer past the deepest one this node has
-expanded; proposals a child can never satisfy are skipped. Popping a max
-tuple certifies that the whole product now precedes everything not yet
-generated.
+product is proposed twice and none is proposed too late. expand_min prices
+both, asking a child only for the layer a proposal needs, at most one past
+the deepest this node has expanded, and skips those a child cannot supply;
+the first emission seeds (1, 1). Popping a max tuple certifies that the
+whole product now precedes everything not yet generated.
 
 A row's products are expanded in column order, so the columns a row
 reaches between two emissions form one run v0..v1. Values are written only
@@ -28,20 +28,20 @@ enough values are certified: standard mode takes exactly the requested count
 with a linear select, wobbly mode takes every carry value at or below the
 certifying bound in one value partition. Both partition the buffer in place
 and copy out only the emitted layer; the unemitted values stay behind as a
-view into it and form the next carry, so no value is ever dropped or
-duplicated.
+view into it, or a new empty array once every value is emitted, and form the
+next carry, so no value is ever dropped or duplicated.
 """
 
 from __future__ import annotations
 
 import heapq
-import operator
+import math
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, EmptyInputError
-from .loh import linear_select, partition_by_value
+from .errors import ConfigError
+from .loh import as_count, linear_select, partition_by_value
 
 __all__ = [
     "MODES",
@@ -105,29 +105,13 @@ class PairwiseState:
         self.values_generated = 0
         self.tuple_pops = 0
 
-    def _push_min(self, u: int, v: int) -> None:
-        """Propose product (u, v): materialize the layers it needs, or skip."""
-        left, right = self.left, self.right
-        if left.ensure(u) and right.ensure(v):
-            value = left.mins[u - 1] + right.mins[v - 1]
-            heapq.heappush(self.heap, ProductTuple(value, True, u, v))
-
-    def propose_initial(self) -> None:
-        """Seed the heap with the min tuple of product (1, 1)."""
-        if self.started:
-            return
-        self.started = True
-        if not (self.left.ensure(1) and self.right.ensure(1)):
-            raise EmptyInputError("a child stream has no first layer")
-        self._push_min(1, 1)
-
     def expand_min(self, t: ProductTuple) -> None:
         """Count the popped product into the carry and propose its successors.
 
         Its values are written at the next emission, with the rest of row
         u's run. The successors are the next product in the row, (u, v+1),
         and, from the first column only, the first product of the next row,
-        (u+1, 1).
+        (u+1, 1); a proposal its child cannot supply is skipped.
         """
         u, v = t.u, t.v
         left, right = self.left, self.right
@@ -135,11 +119,12 @@ class PairwiseState:
         size = left.layers[u - 1].size * right.layers[v - 1].size
         self.carry_count += size
         self.values_generated += size
-        value = left.maxs[u - 1] + right.maxs[v - 1]
-        heapq.heappush(self.heap, ProductTuple(value, False, u, v))
-        self._push_min(u, v + 1)
-        if v == 1:
-            self._push_min(u + 1, 1)
+        heap = self.heap
+        heapq.heappush(heap, ProductTuple(left.maxs[u - 1] + right.maxs[v - 1], False, u, v))
+        if right.ensure(v + 1):
+            heapq.heappush(heap, ProductTuple(left.mins[u - 1] + right.mins[v], True, u, v + 1))
+        if v == 1 and left.ensure(u + 1):
+            heapq.heappush(heap, ProductTuple(left.mins[u] + right.mins[0], True, u + 1, 1))
 
     def _pop_one(self) -> int:
         """Pop one tuple; return the product size on a max pop, else 0."""
@@ -157,8 +142,7 @@ class PairwiseState:
         self.layers.append(layer)
         self.mins.append(layer.min().item())
         self.maxs.append(layer.max().item())
-        # an empty view would still pin the whole pool
-        self.carry = rest if rest.size else rest.copy()
+        self.carry = rest
         self.carry_count = int(rest.size)
         self.s -= int(layer.size)
         return layer
@@ -192,17 +176,14 @@ class PairwiseState:
         negative, and repaying that deficit forces ever larger bounds, so the
         overshoot would compound exponentially along the value stream.
         """
-        try:
-            target = operator.index(target)
-        except TypeError:
-            raise ContractError(
-                f"layer target must be an integer, got {type(target).__name__}"
-            ) from None
-        if target < 1:
-            raise ContractError(f"layer target must be >= 1, got {target}")
-        if not self.started:
-            self.propose_initial()
+        target = as_count(target, 1, math.inf, "layer target")
         heap = self.heap
+        if not self.started:  # the first call seeds product (1, 1)
+            self.started = True
+            left, right = self.left, self.right
+            left.ensure(1)
+            right.ensure(1)
+            heapq.heappush(heap, ProductTuple(left.mins[0] + right.mins[0], True, 1, 1))
         if self.mode == "standard":
             while self.s < target and heap:
                 self._pop_one()

@@ -170,20 +170,13 @@ class CartesianProductTree:
         self.internals = internals
         self.dtype = dtype
         self.total = math.prod(leaf.loh.values.size for leaf in leaves)
+        # _subtree's left-heavy split fixes the height at ceil(log2 m)
+        self.height = (len(leaves) - 1).bit_length()
         self.root_pool_size = 0
-
-    @property
-    def height(self) -> int:
-        def depth(node):
-            if isinstance(node, LeafNode):
-                return 0
-            return 1 + max(depth(node.state.left), depth(node.state.right))
-
-        return depth(self.root)
 
     def select_k(self, k) -> np.ndarray:
         """The k smallest m-fold sums as one array, in no set order."""
-        k = as_count(k, 0, self.total)
+        k = as_count(k, 0, self.total, "k")
         if k == 0:
             return np.empty(0, dtype=self.dtype)
         root = self.root
@@ -199,11 +192,8 @@ class CartesianProductTree:
                 break  # product exhausted; cum == total >= k already
         pool = layers[0] if j == 1 else np.concatenate(layers[:j])
         self.root_pool_size = int(pool.size)
-        # in place on a root layer or a fresh concatenation; a leaf root's
-        # layers are read-only views, so linear_select copies them first
-        head, _ = linear_select(pool, k)
-        # a whole single root layer comes back as itself, and the tree keeps it
-        return head.copy() if j == 1 and head is pool else head
+        # in place on a root layer or a fresh concatenation
+        return linear_select(pool, k)[0]
 
     def stats(self) -> SelectionStats:
         snap = SelectionStats()
@@ -264,5 +254,5 @@ def select_pairwise(a, b, k, alpha=1.1) -> np.ndarray:
     This is the two-leaf tree, with k >= 1.
     """
     tree = build_tree([a, b], TreeConfig(alpha=alpha))
-    return tree.select_k(as_count(k, 1, tree.total))
+    return tree.select_k(as_count(k, 1, tree.total, "k"))
 

@@ -2,6 +2,7 @@
 
 import csv
 import io
+import time
 
 import numpy as np
 import pytest
@@ -34,6 +35,20 @@ class TestParseKSpec:
     def test_bad_specs_rejected(self, spec):
         with pytest.raises(ConfigError):
             cli.parse_k_spec(spec)
+
+    @pytest.mark.parametrize(
+        "spec", ("2^0..2^1000000", "2^100000000", "2^63", "4,2^" + "9" * 5000, "2^00063")
+    )
+    def test_exponents_past_int64_rejected_at_once(self, spec):
+        """An exponent above 62 is refused before any power is computed."""
+        start = time.perf_counter()
+        with pytest.raises(ConfigError, match="above 62"):
+            cli.parse_k_spec(spec)
+        assert time.perf_counter() - start < 0.5
+
+    def test_largest_exponent_accepted(self):
+        assert cli.parse_k_spec("2^62") == [2**62]
+        assert cli.parse_k_spec("2^60..2^62") == [2**60, 2**61, 2**62]
 
 
 class TestInstanceFiles:
@@ -178,6 +193,22 @@ class TestSelect:
         got = np.array([int(line) for line in out.split()], dtype=np.int64)
         np.testing.assert_array_equal(got, brute_multi(cli.read_instance(path), 10))
 
+    @pytest.mark.parametrize("mode", ("standard", "wobbly"))
+    def test_float_values_print_as_repr(self, tmp_path, capsys, mode):
+        """Each float answer is printed as Python's shortest round-trip repr."""
+        path = tmp_path / "reals.txt"
+        code, _, _ = run_cli(
+            ["gen", "--n", "5", "--m", "3", "--seed", "4", "--dist", "reals", "--out", str(path)],
+            capsys,
+        )
+        assert code == 0
+        code, out, _ = run_cli(
+            ["select", "--input", str(path), "--k", "20", "--mode", mode, "--sorted"], capsys
+        )
+        assert code == 0
+        expect = brute_multi(cli.read_instance(path), 20)
+        assert out == "".join(f"{float(v)!r}\n" for v in expect)
+
     def test_out_file(self, tmp_path, capsys):
         path = self.make_instance(tmp_path, capsys)
         dest = tmp_path / "vals.txt"
@@ -319,6 +350,13 @@ class TestBench:
             ["bench", "--n", "4", "--m", "2", "--k", "2", "--modes", "quick"], capsys
         )
         assert code == 2
+
+    def test_huge_k_exponent_is_usage_error(self, capsys):
+        code, _, err = run_cli(
+            ["bench", "--n", "4", "--m", "2", "--k", "2^0..2^1000000", "--trials", "1"], capsys
+        )
+        assert code == 2
+        assert "above 62" in err
 
     def test_k_beyond_total_is_range_error(self, capsys):
         code, _, _ = run_cli(

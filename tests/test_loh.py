@@ -75,6 +75,13 @@ class TestLayerSizeSchedule:
         with pytest.raises(ContractError):
             layer_sizes(1.1, -3)
 
+    def test_n_must_be_an_integer(self):
+        """n is read as k is: 2.7 and "3" are refused, not truncated to 2 and 3."""
+        for n in (2.7, "3"):
+            with pytest.raises(ContractError, match="n"):
+                layer_sizes(1.1, n)
+        assert layer_sizes(1.1, np.int64(3)) == [1, 2]
+
     @pytest.mark.parametrize("alpha", (1, 1.0, 0.5, 0, -2, "abc", float("inf"), float("nan")))
     def test_bad_alpha_rejected(self, alpha):
         with pytest.raises(ConfigError):
@@ -134,6 +141,13 @@ class TestAsValueArray:
         with pytest.raises(InvalidValueError):
             as_value_arrays([["a", "b"]])
 
+    def test_ragged_input_rejected(self):
+        """Ragged nesting is a typed error naming the input, not numpy's ValueError."""
+        with pytest.raises(ContractError, match="input 1"):
+            as_value_arrays([[1, 2], [[1], [2, 3]]])
+        with pytest.raises(ContractError, match="values"):
+            lohify([[1], [2, 3]])
+
     def test_all_int_stays_int(self):
         arrays = as_value_arrays([[1, 2], [3]])
         assert all(a.dtype == np.int64 for a in arrays)
@@ -148,6 +162,19 @@ class TestCheckExtremes:
         """Two arrays whose worst-case sum exceeds int64 are refused up front."""
         with pytest.raises(InvalidValueError):
             check_extremes([2**62, 2**62], [2**62, 2**62])
+
+    def test_float_sum_overflow_rejected(self):
+        """A float group is refused when its sums can pass the largest finite
+        float64, either way; numpy scalars are judged as Python numbers."""
+        with pytest.raises(InvalidValueError):
+            check_extremes([0.0, 0.0], [1.7e308, 1.7e308])
+        with pytest.raises(InvalidValueError):
+            check_extremes([np.float64(-1e308)] * 4, [np.float64(0.0)] * 4)
+        check_extremes([-1e307] * 4, [1e307] * 4)
+
+    def test_lone_input_accepts_every_finite_float(self):
+        big = np.finfo(np.float64).max
+        check_extremes([-big], [big])
 
 
 class TestLinearSelect:
@@ -227,6 +254,28 @@ class TestLinearSelect:
                 linear_select(np.arange(5), k)
         head, _ = linear_select(np.arange(5)[::-1].copy(), np.int64(3))
         np.testing.assert_array_equal(np.sort(head), [0, 1, 2])
+
+    @pytest.mark.parametrize("pool", (np.zeros((2, 3)), np.array([[5, 1, 4], [2, 3, 0]]),
+                                      np.array(7)), ids=["2-d", "2-d-ints", "0-d"])
+    def test_pool_must_be_one_dimensional(self, pool):
+        """A 2-D pool is not flattened into one selection, and a 0-d pool is
+        refused with the same typed error."""
+        with pytest.raises(ContractError, match="one-dimensional"):
+            linear_select(pool, 2 if pool.ndim else 0)
+
+    @pytest.mark.parametrize("read_only", (False, True))
+    def test_whole_pool_head_is_a_new_array(self, read_only):
+        """At k = pool size the head is a copy, never the pool itself, and the
+        empty tail is a new array that pins no memory of the pool."""
+        pool = np.array([5, 1, 4, 2, 3], dtype=np.int64)
+        pool.flags.writeable = not read_only
+        head, tail = linear_select(pool, pool.size)
+        assert head is not pool and not np.shares_memory(head, pool)
+        np.testing.assert_array_equal(np.sort(head), [1, 2, 3, 4, 5])
+        assert tail.size == 0 and tail.base is None and tail.dtype == pool.dtype
+        assert not np.shares_memory(tail, pool)
+        head, tail = linear_select(pool, 0)
+        assert head.size == 0 and head.base is None and tail.size == pool.size
 
     def test_head_owns_its_data(self):
         """A kept head never pins the larger pool it was selected from."""

@@ -93,6 +93,18 @@ class TestBruteMulti:
         with pytest.raises(InvalidValueError):
             brute_multi([[0, 1], [0, 1], [0, extreme]], 1)
 
+    @pytest.mark.parametrize(
+        "arrays", [[[1e308, -1e308]] * 4, [[1.7e308, 0.0]] * 2], ids=["pm1e308x4", "1.7e308x2"]
+    )
+    def test_float_sum_overflow_rejected(self, arrays):
+        """Float inputs whose sums can pass the largest finite float64 are refused."""
+        with pytest.raises(InvalidValueError):
+            brute_multi(arrays, 1)
+
+    def test_ragged_input_rejected(self):
+        with pytest.raises(ContractError, match="input 0"):
+            brute_multi([[[1, 2], [3]]], 1)
+
     def test_k_must_be_an_integer(self):
         """k is read as select_k reads it: floats and strings are refused."""
         for k in (2.7, "3"):

@@ -73,10 +73,9 @@ class TestExpandMin:
         """Expanding (1, 1) pushes its max and its two grid neighbours,
         reaching only layer 2 of either child."""
         state = make_state([1, 2, 3, 4, 5, 6], [1, 2, 3, 4, 5, 6])
-        state.propose_initial()
-        t = heapq.heappop(state.heap)
-        assert (t.u, t.v) == (1, 1) and t.is_min
-        state.expand_min(t)
+        state.left.ensure(1)
+        state.right.ensure(1)
+        state.expand_min(ProductTuple(2, is_min=True, u=1, v=1))
         assert heap_refs(state) == {(1, 1, True), (1, 2, False), (2, 1, False)}
         assert (len(state.left.layers), len(state.right.layers)) == (2, 2)
 
@@ -204,6 +203,19 @@ class TestGenerateNextLayer:
         got = np.sort(np.concatenate(layers))
         np.testing.assert_array_equal(got, brute_pairwise(a, b, a.size * b.size))
         assert state.generate_next_layer(1) is None
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("hi", (4, 1 << 20))
+    def test_drained_carry_pins_no_buffer(self, mode, hi):
+        """After a full drain the carry is a new empty array, not an empty
+        view that would keep the last emission's pool alive."""
+        rng = np.random.default_rng(hi)
+        a = rng.integers(0, hi, size=30).astype(np.int64)
+        b = rng.integers(0, hi, size=21).astype(np.int64)
+        state = make_state(a, b, mode)
+        drain(state, [1, 6, 40] * 300)
+        assert state.generate_next_layer(1) is None
+        assert state.carry.size == 0 and state.carry.base is None
 
     def test_standard_emits_exact_target(self):
         rng = np.random.default_rng(12)

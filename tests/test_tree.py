@@ -102,6 +102,35 @@ class TestBuildTree:
         got = np.sort(tree.select_k(tree.total))
         np.testing.assert_array_equal(got, brute_multi(arrays, tree.total))
 
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize(
+        "arrays", [[[1e308, -1e308]] * 4, [[1.7e308, 0.0]] * 2], ids=["pm1e308x4", "1.7e308x2"]
+    )
+    def test_float_sum_overflow_rejected(self, mode, arrays):
+        """Float inputs whose sums can pass the largest finite float64 are
+        refused up front, not answered with NaN or inf."""
+        with pytest.raises(InvalidValueError):
+            build_tree(arrays, TreeConfig(mode=mode))
+        with pytest.raises(InvalidValueError):
+            select_pairwise(arrays[0], arrays[1], 4)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_large_floats_that_fit_are_accepted(self, mode):
+        """Four inputs of +-1e307 sum within float64 and select like brute
+        force, up to the rounding of a different summation order (3e307 - 1e307
+        is not 2e307 in float64); at +-2**1020 every sum is exact."""
+        for arrays in ([[1e307, -1e307, 0.0]] * 4, [[2.0**1020, -(2.0**1020), 0.0]] * 4):
+            tree = build_tree(arrays, TreeConfig(mode=mode))
+            got = np.sort(tree.select_k(tree.total))
+            expect = brute_multi(arrays, tree.total)
+            assert np.isfinite(got).all()
+            np.testing.assert_allclose(got, expect, rtol=1e-15, atol=0)
+        np.testing.assert_array_equal(got, expect)
+
+    def test_ragged_input_rejected(self):
+        with pytest.raises(ContractError, match="input 0"):
+            build_tree([[[1, 2], [3]]])
+
     def test_bad_mode_rejected(self):
         with pytest.raises(ConfigError):
             TreeConfig(mode="diagonal")
