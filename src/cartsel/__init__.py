@@ -25,7 +25,7 @@ from .loh import (
     verify_loh,
 )
 from .oracle import brute_multi, brute_pairwise
-from .pairwise import MODES, PairwiseState, ProductTuple
+from .pairwise import MODES, PairwiseState
 from .tree import (
     CartesianProductTree,
     SelectionStats,
@@ -47,7 +47,6 @@ __all__ = [
     "MODES",
     "PairwiseState",
     "ParseError",
-    "ProductTuple",
     "ResourceLimitError",
     "SelectionStats",
     "TreeConfig",

@@ -26,6 +26,8 @@ count (k, a layer target, a value count) as an exact integer in range.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import numbers
 import operator
@@ -109,6 +111,14 @@ def layer_sizes(alpha, n) -> list[int]:
     return sizes
 
 
+@functools.lru_cache(maxsize=64)
+def _layer_bounds(alpha: Fraction, n: int) -> np.ndarray:
+    """Read-only layer ends for n values at rank alpha, shared by their heaps."""
+    bounds = np.array(list(itertools.accumulate(layer_sizes(alpha, n))), dtype=np.int64)
+    bounds.flags.writeable = False
+    return bounds
+
+
 def _coerce(values, name: str) -> np.ndarray:
     """The input in the numeric profile (int64 or float64), float values unscanned."""
     try:
@@ -183,25 +193,27 @@ def linear_select(pool, k) -> tuple[np.ndarray, np.ndarray]:
     """Partition a one-dimensional pool in place so a k-smallest multiset comes first.
 
     Returns (head, tail): head holds k values forming a smallest-k multiset
-    of the pool, tail holds the rest; neither is in any particular order.
-    One ndarray.partition call reorders the pool itself (a read-only pool is
-    copied first): introselect, whose median-of-medians fallback keeps the
-    worst case linear. The head is always a new array, because callers keep
-    it (an emitted layer lives as long as the tree) and a view would pin the
-    whole pool. The tail is a view into the pool, reused only as the next
-    carry, or a new empty array when the head takes every value.
+    of the pool, with its largest value last when k >= 1, and tail the rest,
+    in no set order. One ndarray.partition call at k - 1 reorders the pool
+    itself (a read-only pool is copied once first): introselect, linear in
+    the worst case. The head is always a new array, as callers keep it and a
+    view would pin the whole pool. The tail is a view into the pool while
+    the buffer it pins is at most twice its size, else a new array.
     """
     arr = np.asarray(pool)
     if arr.ndim != 1:
         raise ContractError(f"pool must be one-dimensional, got shape {arr.shape}")
     k = as_count(k, 0, arr.size, "k")
-    if k == arr.size:
-        return arr.copy(), np.empty(0, arr.dtype)
+    copied = not arr.flags.writeable
+    if copied:
+        arr = arr.copy()
     if k:
-        if not arr.flags.writeable:
-            arr = arr.copy()
         arr.partition(k - 1)
-    return arr[:k].copy(), arr[k:]
+    head = arr if copied and k == arr.size else arr[:k].copy()
+    tail = arr[k:]
+    if (arr if arr.base is None else arr.base).nbytes > 2 * tail.nbytes:
+        tail = tail.copy()
+    return head, tail
 
 
 def partition_by_value(pool, bound) -> tuple[np.ndarray, np.ndarray]:
@@ -226,7 +238,8 @@ class LayerOrderedHeap:
 
     boundaries[i] is the cumulative end offset of layer i+1 (the last entry
     equals len(values)), as scheduled by the rank alpha, kept as given to
-    lohify. Layers are addressed 1-based to match the indices carried by
+    lohify, which shares one read-only boundary array between heaps of one
+    length. Layers are addressed 1-based to match the indices carried by
     selection tuples. layer_mins[0] and layer_maxs[-1] are the heap's extremes.
     """
 
@@ -269,7 +282,7 @@ def lohify(values, alpha=1.1) -> LayerOrderedHeap:
     in the first layer's min and the last layer's max once the heap is built.
     """
     work = _coerce(values, "values").copy()
-    bounds = np.cumsum(layer_sizes(alpha, len(work)), dtype=np.int64)
+    bounds = _layer_bounds(_alpha_fraction(alpha), len(work))
     cuts = bounds[:-1].tolist()
     # (lo, hi, c0, c1): cuts[c0:c1] are the boundaries strictly inside [lo, hi)
     spans = [(0, len(work), 0, len(cuts))]

@@ -7,17 +7,22 @@ ensure(i), which exposes layers 1..i and reports whether layer i exists.
 
 The engine works on layer products A(u) + B(v): the multiset of sums of one
 value from layer u of the left stream and one from layer v of the right.
-A binary heap orders two kinds of tuples per product, a min tuple valued
-min(A(u)) + min(B(v)) and a max tuple valued max(A(u)) + max(B(v)). Popping
-a min tuple counts the product's values into the carry, records that row u
-now reaches column v, and proposes its grid neighbours: (u, v+1), plus
-(u+1, 1) when v == 1. Every product other than (1, 1) has exactly one
-proposer, (u, v-1) or (u-1, 1), whose min is no larger than its own, so no
-product is proposed twice and none is proposed too late. expand_min prices
-both, asking a child only for the layer a proposal needs, at most one past
-the deepest this node has expanded, and skips those a child cannot supply;
-the first emission seeds (1, 1). Popping a max tuple certifies that the
-whole product now precedes everything not yet generated.
+A binary heap holds two plain tuples (value, is_min, u, v) per product, a
+min tuple valued min(A(u)) + min(B(v)) and a max tuple valued
+max(A(u)) + max(B(v)); tuple order is heap order. Popping a min tuple
+counts the product's values into the carry, records that row u now reaches
+column v, and proposes its grid neighbours: (u, v+1), plus (u+1, 1) when
+v == 1. Every product other than (1, 1) has exactly one proposer, (u, v-1)
+or (u-1, 1), whose min is no larger than its own, so no product is proposed
+twice and none is proposed too late. expand_min prices both, asking a child
+only for the layer a proposal needs, at most one past the deepest this node
+has expanded, and skips those a child cannot supply; the first emission
+seeds (1, 1). Popping a max tuple certifies that the whole product now
+precedes everything not yet generated. At equal value a max tuple pops
+first, since False sorts before True, and (u, v) breaks the remaining ties.
+That is sound, as a popped max is at most every unpopped min, and it keeps
+heavy ties bounded: min-first would expand every product in a tie band, and
+pull its children's layers, before any of them could be certified.
 
 A row's products are expanded in column order, so the columns a row
 reaches between two emissions form one run v0..v1. Values are written only
@@ -27,16 +32,16 @@ plus layers v0..v1 of the right. Layers are emitted from that buffer once
 enough values are certified: standard mode takes exactly the requested count
 with a linear select, wobbly mode takes every carry value at or below the
 certifying bound in one value partition. Both partition the buffer in place
-and copy out only the emitted layer; the unemitted values stay behind as a
-view into it, or a new empty array once every value is emitted, and form the
-next carry, so no value is ever dropped or duplicated.
+and copy out only the emitted layer, its max placed last and read there.
+The unemitted values form the next carry, a view into the buffer only while
+that pins at most twice their size, so no value is dropped or duplicated
+and no carry keeps a much larger pool alive.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from typing import NamedTuple
 
 import numpy as np
 
@@ -46,27 +51,9 @@ from .loh import as_count, linear_select, partition_by_value
 __all__ = [
     "MODES",
     "PairwiseState",
-    "ProductTuple",
 ]
 
 MODES = ("standard", "wobbly")
-
-
-class ProductTuple(NamedTuple):
-    """Heap entry for one layer product; field order doubles as heap priority.
-
-    is_min False sorts before True, so at equal value a max tuple pops before
-    any min tuple, and (u, v) breaks the remaining ties lexicographically.
-    Popping maxes first is sound, since a popped max(A(u)) + max(B(v)) is at
-    most every unpopped min, and it keeps heavy ties bounded: min-first would
-    expand every product in a tie band, and pull its children's layers,
-    before any of them could be certified.
-    """
-
-    value: float
-    is_min: bool
-    u: int
-    v: int
 
 
 class PairwiseState:
@@ -88,7 +75,7 @@ class PairwiseState:
         self.left = left
         self.right = right
         self.mode = mode
-        self.heap: list[ProductTuple] = []
+        self.heap: list[tuple] = []
         self.carry = np.empty(0)
         self.rows: dict[int, list[int]] = {}
         self.carry_count = 0
@@ -105,7 +92,7 @@ class PairwiseState:
         self.values_generated = 0
         self.tuple_pops = 0
 
-    def expand_min(self, t: ProductTuple) -> None:
+    def expand_min(self, t: tuple) -> None:
         """Count the popped product into the carry and propose its successors.
 
         Its values are written at the next emission, with the rest of row
@@ -113,27 +100,27 @@ class PairwiseState:
         and, from the first column only, the first product of the next row,
         (u+1, 1); a proposal its child cannot supply is skipped.
         """
-        u, v = t.u, t.v
+        _, _, u, v = t
         left, right = self.left, self.right
         self.rows.setdefault(u, [v, v])[1] = v
         size = left.layers[u - 1].size * right.layers[v - 1].size
         self.carry_count += size
         self.values_generated += size
         heap = self.heap
-        heapq.heappush(heap, ProductTuple(left.maxs[u - 1] + right.maxs[v - 1], False, u, v))
-        if right.ensure(v + 1):
-            heapq.heappush(heap, ProductTuple(left.mins[u - 1] + right.mins[v], True, u, v + 1))
-        if v == 1 and left.ensure(u + 1):
-            heapq.heappush(heap, ProductTuple(left.mins[u] + right.mins[0], True, u + 1, 1))
+        heapq.heappush(heap, (left.maxs[u - 1] + right.maxs[v - 1], False, u, v))
+        if v < len(right.layers) or right.ensure(v + 1):
+            heapq.heappush(heap, (left.mins[u - 1] + right.mins[v], True, u, v + 1))
+        if v == 1 and (u < len(left.layers) or left.ensure(u + 1)):
+            heapq.heappush(heap, (left.mins[u] + right.mins[0], True, u + 1, 1))
 
     def _pop_one(self) -> int:
         """Pop one tuple; return the product size on a max pop, else 0."""
-        t = heapq.heappop(self.heap)
+        value, is_min, u, v = t = heapq.heappop(self.heap)
         self.tuple_pops += 1
-        if not t.is_min:
-            size = self.left.layers[t.u - 1].size * self.right.layers[t.v - 1].size
+        if not is_min:
+            size = self.left.layers[u - 1].size * self.right.layers[v - 1].size
             self.s += size
-            self.last_max_value = t.value
+            self.last_max_value = value
             return size
         self.expand_min(t)
         return 0
@@ -141,7 +128,7 @@ class PairwiseState:
     def _emit(self, layer: np.ndarray, rest: np.ndarray) -> np.ndarray:
         self.layers.append(layer)
         self.mins.append(layer.min().item())
-        self.maxs.append(layer.max().item())
+        self.maxs.append(layer[-1].item())  # the selection leaves the max last
         self.carry = rest
         self.carry_count = int(rest.size)
         self.s -= int(layer.size)
@@ -152,7 +139,7 @@ class PairwiseState:
         if not self.rows:
             return self.carry
         left, right = self.left.layers, self.right.layers
-        pool = np.empty(self.carry_count, np.result_type(left[0].dtype, right[0].dtype))
+        pool = np.empty(self.carry_count, self.carry.dtype)
         end = self.carry.size
         pool[:end] = self.carry
         for u, (v0, v1) in self.rows.items():
@@ -183,7 +170,8 @@ class PairwiseState:
             left, right = self.left, self.right
             left.ensure(1)
             right.ensure(1)
-            heapq.heappush(heap, ProductTuple(left.mins[0] + right.mins[0], True, 1, 1))
+            self.carry = np.empty(0, np.result_type(left.layers[0].dtype, right.layers[0].dtype))
+            heapq.heappush(heap, (left.mins[0] + right.mins[0], True, 1, 1))
         if self.mode == "standard":
             while self.s < target and heap:
                 self._pop_one()

@@ -27,3 +27,10 @@ def assert_layers_are_rank_slices(heap, values):
     )
     by_layer = heap.values[np.lexsort((heap.values, layer_of))]
     np.testing.assert_array_equal(by_layer, ref)
+
+
+def buffer_nbytes(arr):
+    """Size of the buffer that keeps arr alive: its own, or its base's."""
+    while isinstance(arr.base, np.ndarray):
+        arr = arr.base
+    return arr.nbytes

@@ -1,10 +1,14 @@
 """Tests for layer-ordered heap construction and linear selection."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import cartsel.loh as loh_mod
 from cartsel.errors import (
     ConfigError,
     ContractError,
@@ -22,7 +26,8 @@ from cartsel.loh import (
     partition_by_value,
     verify_loh,
 )
-from conftest import NON_FINITE, assert_layers_are_rank_slices
+from cartsel.tree import build_tree
+from conftest import NON_FINITE, assert_layers_are_rank_slices, buffer_nbytes
 
 ALPHAS = (1.05, 1.1, 2, 4, Fraction(11, 10), "1.1")
 # Extreme and coarse ranks too: 5000 values make 100 layers at 1.001 and at
@@ -286,6 +291,61 @@ class TestLinearSelect:
         assert head.base is None
 
 
+POOLS = st.one_of(
+    st.lists(st.integers(0, 3), max_size=40).map(lambda xs: np.array(xs, dtype=np.int64)),
+    st.lists(st.floats(-1e6, 1e6), max_size=40).map(lambda xs: np.array(xs, dtype=np.float64)),
+)
+
+
+class TestLinearSelectContract:
+    @settings(max_examples=150, deadline=None, database=None, derandomize=True)
+    @given(POOLS, st.booleans())
+    def test_every_k(self, values, read_only):
+        """For every k: the multiset is kept, the head is a new array whose
+        last value is its max, the tail is a view exactly while the buffer it
+        pins is at most twice its bytes, and a read-only pool is untouched."""
+        ref = np.sort(values)
+        for k in range(values.size + 1):
+            pool = values.copy()
+            pool.flags.writeable = not read_only
+            head, tail = linear_select(pool, k)
+            np.testing.assert_array_equal(np.sort(head), ref[:k])
+            np.testing.assert_array_equal(np.sort(np.concatenate((head, tail))), ref)
+            assert head.base is None and not np.shares_memory(head, pool)
+            if k:
+                assert head[-1] == head.max()
+            # a view would pin the pool, or its private copy, whole
+            assert (tail.base is not None) == (pool.nbytes <= 2 * tail.nbytes)
+            assert buffer_nbytes(tail) <= 2 * tail.nbytes
+            if read_only:
+                np.testing.assert_array_equal(pool, values)
+                assert not np.shares_memory(tail, pool)
+            elif tail.base is not None:
+                assert tail.base is pool
+
+    @pytest.mark.parametrize("read_only", (False, True))
+    def test_pool_is_copied_at_most_once(self, read_only):
+        """A read-only pool is copied once and a writable one not at all:
+        beyond that copy a selection allocates only the head and a tail
+        that may not stay a view."""
+        n = 1 << 16
+        values = np.random.default_rng(19).integers(0, 1 << 20, size=n)
+        for k in (0, 1, n // 3, n // 2 + 1, n - 1, n):
+            pool = values.copy()
+            pool.flags.writeable = not read_only
+            tracemalloc.start()
+            try:
+                head, tail = linear_select(pool, k)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            copies = pool.nbytes if read_only else 0
+            made = [a.nbytes for a in (head, tail) if a.base is None]
+            if read_only and k == n:
+                made.remove(head.nbytes)  # the head is the one copy
+            assert peak <= copies + sum(made) + 4096, k
+
+
 class TestPartitionByValue:
     def test_ties_go_to_head(self):
         head, tail = partition_by_value(np.array([3, 1, 2, 2, 5], dtype=np.int64), 2)
@@ -307,13 +367,24 @@ class TestPartitionByValue:
 
     def test_partitions_in_place(self):
         """Every value equal to the bound lands in the head; the pool is
-        reordered in place and the tail is a view into it."""
+        reordered in place, with the head's max last. A 3-value tail would
+        pin the 8-value pool, so it is a copy; a 5-value tail of the same
+        pool stays a view into it."""
         pool = np.array([3, 2, 5, 2, 1, 2, 4, 2], dtype=np.int64)
         head, tail = partition_by_value(pool, 2)
         np.testing.assert_array_equal(np.sort(head), [1, 2, 2, 2, 2])
         np.testing.assert_array_equal(np.sort(tail), [3, 4, 5])
         np.testing.assert_array_equal(pool[:5], head)
-        assert tail.base is pool and head.base is None
+        np.testing.assert_array_equal(pool[5:], tail)
+        assert head[-1] == 2 and head.base is None
+        assert tail.base is None and not np.shares_memory(tail, pool)
+        pool = np.array([3, 2, 5, 2, 1, 6, 4, 7], dtype=np.int64)
+        head, tail = partition_by_value(pool, 2)
+        np.testing.assert_array_equal(np.sort(head), [1, 2, 2])
+        np.testing.assert_array_equal(np.sort(tail), [3, 4, 5, 6, 7])
+        np.testing.assert_array_equal(pool[:3], head)
+        assert head[-1] == 2 and head.base is None
+        assert tail.base is pool
 
     def test_short_band_leaves_the_pool_whole(self):
         """A head too small for the caller is dropped: the reordered pool
@@ -392,6 +463,25 @@ class TestLohify:
             heap = lohify(vals, 1.01)
             assert vals.tobytes() == snapshot
             assert not np.shares_memory(heap.values, vals)
+
+    def test_equal_lengths_share_one_schedule(self, monkeypatch):
+        """Heaps of one length and rank share one read-only boundary array,
+        scheduled once: 256 equal-length inputs call layer_sizes once."""
+        calls = []
+
+        def spy(alpha, n):
+            calls.append(n)
+            return layer_sizes(alpha, n)
+
+        monkeypatch.setattr(loh_mod, "layer_sizes", spy)
+        loh_mod._layer_bounds.cache_clear()
+        rng = np.random.default_rng(20)
+        tree = build_tree([rng.integers(0, 100, size=37) for _ in range(256)])
+        assert calls == [37]
+        heaps = [leaf.loh for leaf in tree.leaves]
+        assert all(heap.boundaries is heaps[0].boundaries for heap in heaps)
+        assert not heaps[0].boundaries.flags.writeable
+        assert all(verify_loh(heap) for heap in heaps)
 
     def test_deterministic(self):
         rng = np.random.default_rng(8)

@@ -10,9 +10,9 @@ import cartsel.pairwise as pairwise_mod
 from cartsel.errors import ConfigError, ContractError, InvalidValueError
 from cartsel.loh import linear_select, lohify, partition_by_value
 from cartsel.oracle import brute_pairwise
-from cartsel.pairwise import MODES, PairwiseState, ProductTuple
+from cartsel.pairwise import MODES, PairwiseState
 from cartsel.tree import LeafNode, TreeConfig, build_tree, select_pairwise
-from conftest import G, G0, NON_FINITE
+from conftest import G, G0, NON_FINITE, buffer_nbytes
 
 
 def make_state(a, b, mode="standard", alpha=1.1):
@@ -24,7 +24,7 @@ def make_state(a, b, mode="standard", alpha=1.1):
 
 
 def heap_refs(state):
-    return {(t.u, t.v, not t.is_min) for t in state.heap}
+    return {(u, v, not is_min) for _, is_min, u, v in state.heap}
 
 
 def drain(state, targets):
@@ -39,33 +39,35 @@ def drain(state, targets):
 
 
 class TestTupleOrder:
+    """Heap entries are plain (value, is_min, u, v) tuples ordered as tuples."""
+
     def test_value_dominates(self):
-        low = ProductTuple(4, is_min=False, u=9, v=9)
-        high = ProductTuple(5, is_min=True, u=1, v=1)
+        low = (4, False, 9, 9)
+        high = (5, True, 1, 1)
         assert low < high
         assert not high < low
 
     def test_max_pops_before_min_at_equal_value(self):
         """At a tied value the max tuple pops first and certifies its product."""
-        mn = ProductTuple(5, is_min=True, u=1, v=1)
-        mx = ProductTuple(5, is_min=False, u=1, v=2)
+        mn = (5, True, 1, 1)
+        mx = (5, False, 1, 2)
         assert mx < mn
-        assert not mx.is_min and mn.is_min
+        assert not mx[1] and mn[1]
 
     def test_refs_break_remaining_ties(self):
-        a = ProductTuple(5, is_min=True, u=1, v=2)
-        b = ProductTuple(5, is_min=True, u=2, v=1)
+        a = (5, True, 1, 2)
+        b = (5, True, 2, 1)
         assert a < b
         assert a == a and not a < a
 
     def test_heap_respects_order(self):
         tuples = [
-            ProductTuple(6, is_min=False, u=1, v=1),
-            ProductTuple(5, is_min=True, u=1, v=1),
-            ProductTuple(5, is_min=False, u=2, v=1),
+            (6, False, 1, 1),
+            (5, True, 1, 1),
+            (5, False, 2, 1),
         ]
         heapq.heapify(tuples)
-        assert heapq.heappop(tuples) == ProductTuple(5, is_min=False, u=2, v=1)
+        assert heapq.heappop(tuples) == (5, False, 2, 1)
 
 
 class TestExpandMin:
@@ -75,7 +77,7 @@ class TestExpandMin:
         state = make_state([1, 2, 3, 4, 5, 6], [1, 2, 3, 4, 5, 6])
         state.left.ensure(1)
         state.right.ensure(1)
-        state.expand_min(ProductTuple(2, is_min=True, u=1, v=1))
+        state.expand_min((2, True, 1, 1))
         assert heap_refs(state) == {(1, 1, True), (1, 2, False), (2, 1, False)}
         assert (len(state.left.layers), len(state.right.layers)) == (2, 2)
 
@@ -86,7 +88,7 @@ class TestExpandMin:
         state = make_state(n28, n28)
         state.left.ensure(2)
         state.right.ensure(3)
-        state.expand_min(ProductTuple(0, is_min=True, u=2, v=3))
+        state.expand_min((0, True, 2, 3))
         assert heap_refs(state) == {(2, 3, True), (2, 4, False)}
         assert (len(state.left.layers), len(state.right.layers)) == (2, 4)
 
@@ -96,12 +98,12 @@ class TestExpandMin:
         n_layers = state.right.loh.boundaries.size
         state.left.ensure(1)
         state.right.ensure(n_layers)
-        state.expand_min(ProductTuple(0, is_min=True, u=1, v=n_layers))
+        state.expand_min((0, True, 1, n_layers))
         assert heap_refs(state) == {(1, n_layers, True)}
         state = make_state([1, 2, 3, 4, 5, 6], [1, 2, 3, 4, 5, 6])
         state.left.ensure(n_layers)
         state.right.ensure(1)
-        state.expand_min(ProductTuple(0, is_min=True, u=n_layers, v=1))
+        state.expand_min((0, True, n_layers, 1))
         assert heap_refs(state) == {(n_layers, 1, True), (n_layers, 2, False)}
 
     def test_generates_the_product_block(self, monkeypatch):
@@ -117,7 +119,7 @@ class TestExpandMin:
         state = make_state([1, 2, 3, 4, 5, 6], [10, 20, 30, 40, 50, 60])
         state.left.ensure(2)
         state.right.ensure(2)
-        state.expand_min(ProductTuple(0, is_min=True, u=2, v=2))
+        state.expand_min((0, True, 2, 2))
         assert state.values_generated == 4
         assert state.generate_next_layer(1).tolist() == [11]
         np.testing.assert_array_equal(pools, [[11, 22, 23, 32, 33]])
@@ -133,8 +135,9 @@ class TestProposals:
         pushed = []
 
         def heappush(heap, item):
-            if item.is_min:
-                pushed.append((id(heap), item.u, item.v))
+            _, is_min, u, v = item
+            if is_min:
+                pushed.append((id(heap), u, v))
             heapq.heappush(heap, item)
 
         monkeypatch.setattr(
@@ -216,6 +219,23 @@ class TestGenerateNextLayer:
         drain(state, [1, 6, 40] * 300)
         assert state.generate_next_layer(1) is None
         assert state.carry.size == 0 and state.carry.base is None
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("hi", (4, 1 << 20))
+    def test_carry_pins_at_most_twice_its_bytes(self, mode, hi):
+        """After every emission the carry is a view only into a buffer at
+        most twice its size, or a new array: a small carry never keeps the
+        larger pool it was selected from alive."""
+        rng = np.random.default_rng(hi + 1)
+        a = rng.integers(0, hi, size=30).astype(np.int64)
+        b = rng.integers(0, hi, size=21).astype(np.int64)
+        state = make_state(a, b, mode)
+        targets = [1, 6, 40, 3, 100]
+        for i in range(a.size * b.size):
+            if state.generate_next_layer(targets[i % len(targets)]) is None:
+                break
+            assert buffer_nbytes(state.carry) <= 2 * state.carry.nbytes
+        assert state.carry.size == 0
 
     def test_standard_emits_exact_target(self):
         rng = np.random.default_rng(12)

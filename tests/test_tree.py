@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -21,7 +22,7 @@ from cartsel.loh import verify_loh
 from cartsel.oracle import brute_multi
 from cartsel.pairwise import MODES, PairwiseState
 from cartsel.tree import InternalNode, LeafNode, TreeConfig, build_tree, select_pairwise
-from conftest import G, G0, NON_FINITE
+from conftest import G, G0, NON_FINITE, buffer_nbytes as _buffer_nbytes
 
 
 def seeded_arrays(seed, m, n, hi=100):
@@ -337,8 +338,9 @@ class TestLaziness:
         expand = PairwiseState.expand_min
 
         def expand_min(state, t):
+            _, _, u, v = t
             left, right = deepest.get(id(state), (0, 0))
-            deepest[id(state)] = (max(left, t.u), max(right, t.v))
+            deepest[id(state)] = (max(left, u), max(right, v))
             expand(state, t)
 
         monkeypatch.setattr(PairwiseState, "expand_min", expand_min)
@@ -425,13 +427,6 @@ class TestWobblyCascade:
         assert out.returncode == 0, out.stderr
 
 
-def _buffer_nbytes(arr):
-    """Size of the buffer that keeps arr alive: its own, or its base's."""
-    while isinstance(arr.base, np.ndarray):
-        arr = arr.base
-    return arr.nbytes
-
-
 class TestMemoryPinning:
     @pytest.mark.parametrize("mode", ("standard", "wobbly"))
     def test_kept_arrays_pin_no_larger_buffer(self, mode):
@@ -492,6 +487,26 @@ class TestMemoryPinning:
         for k in (1, 3, 100):
             answer = tree.select_k(k)
             assert _buffer_nbytes(answer) == answer.nbytes
+
+
+class TestSelectionPeakMemory:
+    def test_large_k_holds_each_generated_value_at_most_twice(self):
+        """A standard query at k=2^20 on five 256-value inputs peaks within
+        twice its generated values: a selection holds its pool and the layer
+        and carry copied out of it, and the carry lets the pool go before the
+        answer is copied. A carry that pinned the root pool would hold pool,
+        layer and answer at once, about 27.8 MB against a 22.7 MB bound."""
+        rng = np.random.default_rng(22)
+        tree = build_tree([rng.integers(0, 1 << 30, size=256) for _ in range(5)])
+        k = 1 << 20
+        tracemalloc.start()
+        try:
+            answer = tree.select_k(k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert answer.size == k
+        assert peak <= 2 * tree.stats().values_generated * answer.itemsize + (1 << 19)
 
 
 class TestNodeEnsureLayer:
