@@ -7,12 +7,18 @@ holds exactly one value and sizes grow geometrically with a rank alpha > 1
 through the recurrence s(1) = 1, s(i+1) = ceil(alpha * s(i)); the final
 layer is truncated so the sizes sum to n exactly.
 
-Construction places the layer boundaries by divide and conquer: a span is
+Layers are placed front first and on demand. An input that is short for its
+number of boundaries is sorted whole at build. Any other input is
+partitioned once at the first boundary at or past isqrt(n), and only that
+front is placed at build; the back waits as one unplaced span, and
+LayerOrderedHeap.place splits unplaced spans front-most first when a reader
+asks for a deeper layer. Placing is divide and conquer: a span is
 partitioned in place at the boundary nearest its middle and each side is
-recursed on, and a span holding many boundaries for its size is sorted whole.
-Each level of the recursion moves at most n values, and a value is moved
-at about log2(1/(alpha-1)) levels, so total work is
-O(n max(1, log(1/(alpha-1)))), linear in n for fixed alpha.
+split in turn, and a span holding many boundaries for its size is sorted
+whole. Each level of the recursion moves at most n values, and a value is
+moved at about log2(1/(alpha-1)) levels, so placing every layer costs
+O(n max(1, log(1/(alpha-1)))), linear in n for fixed alpha, plus the one
+front cut; a build costs O(n) however large n is.
 
 The selection primitives reorder a one-dimensional pool in place and copy
 out only the head a caller keeps, always as a new array. A built heap's
@@ -33,7 +39,6 @@ import numbers
 import operator
 import sys
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -232,34 +237,6 @@ def partition_by_value(pool, bound) -> tuple[np.ndarray, np.ndarray]:
     return linear_select(arr, np.count_nonzero(arr <= bound))
 
 
-@dataclass
-class LayerOrderedHeap:
-    """A value array partitioned into ordered layers.
-
-    boundaries[i] is the cumulative end offset of layer i+1 (the last entry
-    equals len(values)), as scheduled by the rank alpha, kept as given to
-    lohify, which shares one read-only boundary array between heaps of one
-    length. Layers are addressed 1-based to match the indices carried by
-    selection tuples. layer_mins[0] and layer_maxs[-1] are the heap's extremes.
-    """
-
-    values: np.ndarray
-    boundaries: np.ndarray
-    alpha: float | Fraction | str
-    layer_mins: np.ndarray = field(init=False)
-    layer_maxs: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        starts = self._starts()
-        self.layer_mins = np.minimum.reduceat(self.values, starts)
-        self.layer_maxs = np.maximum.reduceat(self.values, starts)
-
-    def _starts(self) -> np.ndarray:
-        starts = np.zeros(len(self.boundaries), dtype=np.int64)
-        starts[1:] = self.boundaries[:-1]
-        return starts
-
-
 # A span no longer than this many times the number of layer boundaries inside
 # it is sorted whole rather than split further: one sort beats a partition
 # call per boundary on short spans, such as the front layers at small alpha
@@ -267,48 +244,128 @@ class LayerOrderedHeap:
 DENSE_SPAN = 16
 
 
-def lohify(values, alpha=1.1) -> LayerOrderedHeap:
-    """Build a layer-ordered heap over values; the multiset is preserved.
+class LayerOrderedHeap:
+    """A value array partitioned into ordered layers, placed front first.
 
-    The input is copied once and never written. The copy is reordered in
-    place by divide and conquer over the layer boundaries: a span is
-    partitioned at the boundary nearest its middle and both sides are split
-    in turn, until a span holds no boundary or is dense enough to sort
-    whole. Each level moves at most len(values) elements, so the work is
+    boundaries[i] is the cumulative end offset of layer i+1 (the last entry
+    equals len(values)), as scheduled by the rank alpha, kept as given to
+    lohify, which shares one read-only boundary array between heaps of one
+    length. Layers are addressed 1-based to match the indices carried by
+    selection tuples.
+
+    Layers 1..len(layer_mins) are placed: each holds exactly its rank slice
+    of the values, and layer_mins and layer_maxs, lists that grow as layers
+    are placed, hold their extremes, so layer_mins[0] is the heap's min. The
+    values past the last placed layer lie in spans still to be split, held
+    on a stack with the front-most last; place(i) splits them. hi is the
+    heap's greatest value. A heap made over given values and boundaries,
+    with no spans, is placed whole.
+    """
+
+    def __init__(self, values, boundaries, alpha, spans=()):
+        self.values = values
+        self.boundaries = boundaries
+        self.alpha = alpha
+        self._starts = starts = np.zeros(len(boundaries), dtype=np.int64)
+        starts[1:] = boundaries[:-1]
+        # (lo, hi, c0, c1): _cuts[c0:c1] are the boundaries strictly inside [lo, hi)
+        self._spans = list(spans)
+        self._cuts = boundaries[:-1].tolist() if spans else []
+        if spans:
+            self.layer_mins: list = []
+            self.layer_maxs: list = []
+            # the back-most span holds the greatest value, or NaN if any
+            self.hi = values[spans[0][0] :].max().item()
+        else:
+            self.layer_mins = np.minimum.reduceat(values, starts).tolist()
+            self.layer_maxs = np.maximum.reduceat(values, starts).tolist()
+            self.hi = self.layer_maxs[-1]
+
+    def place(self, i: int) -> None:
+        """Place layers 1..i, i at most the number of layers.
+
+        Unplaced spans are taken front-most first and split like the build
+        splits them: at the boundary nearest the middle, or sorted whole when
+        dense. It stops once layer i is placed, so placing every layer this
+        way costs what placing them all at once would. Placed layers never
+        move, and the values are read-only again on return.
+        """
+        if len(self.layer_mins) >= i:
+            return
+        work, cuts, spans = self.values, self._cuts, self._spans
+        work.flags.writeable = True
+        try:
+            while len(self.layer_mins) < i:
+                lo, hi, c0, c1 = spans.pop()
+                if c0 < c1 and hi - lo > DENSE_SPAN * (c1 - c0):
+                    mid = (lo + hi) // 2
+                    j = bisect_left(cuts, mid, c0, c1)
+                    if j == c1 or (j > c0 and mid - cuts[j - 1] < cuts[j] - mid):
+                        j -= 1
+                    cut = cuts[j]
+                    work[lo:hi].partition(cut - lo)
+                    spans.append((cut, hi, j + 1, c1))
+                    spans.append((lo, cut, c0, j))
+                    continue
+                if c0 < c1:
+                    work[lo:hi].sort()
+                self._record(hi, c0, c1)
+        finally:
+            work.flags.writeable = False
+
+    def _record(self, hi: int, c0: int, c1: int) -> None:
+        """Append the extremes of layers c0+1..c1+1, a placed span ending at hi."""
+        head, starts = self.values[:hi], self._starts[c0 : c1 + 1]
+        self.layer_mins += np.minimum.reduceat(head, starts).tolist()
+        self.layer_maxs += np.maximum.reduceat(head, starts).tolist()
+
+
+def lohify(values, alpha=1.1) -> LayerOrderedHeap:
+    """Build a layer-ordered heap over values, placing only its front.
+
+    The input is copied once and never written. A copy that is dense for
+    its layer boundaries is sorted whole and every layer is placed. Any
+    other copy is partitioned once at the first boundary at or past
+    isqrt(n), and the layers of that front are placed by divide and
+    conquer: a span is partitioned at the boundary nearest its middle and
+    both sides are split in turn, until a span holds no boundary or is dense
+    enough to sort whole. The back stays one unplaced span until place()
+    asks for its layers. Each level of the recursion moves at most
+    len(values) elements, so placing every layer costs
     O(n max(1, log(1/(alpha-1)))). The values end up read-only.
 
     Values must be finite. They are not scanned up front: NaN and +inf order
-    into the last layer and -inf into the first, so check_extremes finds them
-    in the first layer's min and the last layer's max once the heap is built.
+    last and -inf first, so check_extremes finds them in the first layer's
+    min and in hi, the max of the back (or of the last layer) taken at build.
     """
     work = _coerce(values, "values").copy()
-    bounds = _layer_bounds(_alpha_fraction(alpha), len(work))
-    cuts = bounds[:-1].tolist()
-    # (lo, hi, c0, c1): cuts[c0:c1] are the boundaries strictly inside [lo, hi)
-    spans = [(0, len(work), 0, len(cuts))]
-    while spans:
-        lo, hi, c0, c1 = spans.pop()
-        if c0 == c1:
-            continue
-        if hi - lo <= DENSE_SPAN * (c1 - c0):
-            work[lo:hi].sort()
-            continue
-        mid = (lo + hi) // 2
-        j = bisect_left(cuts, mid, c0, c1)
-        if j == c1 or (j > c0 and mid - cuts[j - 1] < cuts[j] - mid):
-            j -= 1
-        cut = cuts[j]
-        work[lo:hi].partition(cut - lo)
-        spans.append((lo, cut, c0, j))
-        spans.append((cut, hi, j + 1, c1))
-    work.flags.writeable = False
-    heap = LayerOrderedHeap(work, bounds, alpha)
-    check_extremes(heap.layer_mins[:1].tolist(), heap.layer_maxs[-1:].tolist())
+    n = len(work)
+    bounds = _layer_bounds(_alpha_fraction(alpha), n)
+    if n <= DENSE_SPAN * (len(bounds) - 1):
+        work.sort()
+        work.flags.writeable = False
+        heap = LayerOrderedHeap(work, bounds, alpha)
+    else:
+        cuts = bounds[:-1].tolist()
+        front = bisect_left(cuts, math.isqrt(n))
+        spans = [(0, n, 0, len(cuts))]
+        if front < len(cuts):
+            cut = cuts[front]
+            work.partition(cut)
+            spans = [(cut, n, front + 1, len(cuts)), (0, cut, 0, front)]
+        work.flags.writeable = False
+        heap = LayerOrderedHeap(work, bounds, alpha, spans)
+        heap.place(front + 1)
+    check_extremes(heap.layer_mins[:1], [heap.hi])
     return heap
 
 
 def verify_loh(heap: LayerOrderedHeap) -> bool:
-    """Check the layer structure: scheduled boundaries, ordered layers."""
+    """Check the whole heap: scheduled boundaries, ordered layers, recorded extremes.
+
+    Every layer is placed first, so a heap that lohify placed only in part
+    is checked layer by layer all the same.
+    """
     vals = np.asarray(heap.values)
     bounds = np.asarray(heap.boundaries)
     if vals.ndim != 1 or vals.size == 0:
@@ -319,7 +376,8 @@ def verify_loh(heap: LayerOrderedHeap) -> bool:
         return False
     if not np.array_equal(bounds, np.cumsum(sizes)):
         return False
-    starts = heap._starts()
-    mins = np.minimum.reduceat(vals, starts)
-    maxs = np.maximum.reduceat(vals, starts)
-    return bool(np.all(maxs[:-1] <= mins[1:]))
+    heap.place(len(bounds))
+    mins = np.minimum.reduceat(vals, heap._starts)
+    maxs = np.maximum.reduceat(vals, heap._starts)
+    recorded = heap.layer_mins == mins.tolist() and heap.layer_maxs == maxs.tolist()
+    return recorded and bool(np.all(maxs[:-1] <= mins[1:]))

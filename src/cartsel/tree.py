@@ -4,13 +4,15 @@ Leaves wrap layer-ordered heaps built from the m input arrays; every internal
 node runs a pairwise engine over its two children and emits its own layer
 stream, so the root's layers enumerate the full sum multiset smallest first.
 Construction is lazy and generation is demand-driven: nothing is popped or
-generated until a selection asks the root for layers, and a node only asks a
-child for a layer when a proposed product needs it. Inner nodes emit layers
-on their own size schedule; the root, which feeds no parent, is asked for
-one layer of the whole outstanding demand in both modes. The final answer is
-a linear select over the shortest root layer prefix holding at least k
-values, which in standard mode holds exactly k once a query has run; it comes
-back in no set order.
+generated until a selection asks the root for layers, a node only asks a
+child for a layer when a proposed product needs it, and a leaf over a large
+input places its heap's layers past a short front only when asked for them.
+Inner nodes emit layers on their own size schedule; the root, which feeds no
+parent, is asked for one layer of the whole outstanding demand in both
+modes. The final answer is a copy of the shortest root layer prefix holding
+at least k values, trimmed by a linear select only when it holds more than k
+(in standard mode it holds exactly k once a query has run); it comes back in
+no set order.
 
 TreeConfig reads the rank alpha and the mode once per tree: every leaf heap
 and node schedule gets the one parsed Fraction, and every node engine the one
@@ -81,12 +83,13 @@ class SelectionStats:
 
 
 class LeafNode:
-    """A prebuilt layer-ordered heap, exposed to its parent layer by layer.
+    """A layer-ordered heap, exposed to its parent layer by layer.
 
     layers grows on demand with read-only views of the heap's values, so
     len(layers) is how deep the parent has reached, which is what the
-    laziness accounting reports; mins and maxs hold every layer's extremes
-    from the start.
+    laziness accounting reports. mins and maxs are the heap's own extremes
+    lists: they grow as the heap places layers, which ensure asks it to do
+    only for a layer not yet placed, and hold at least every exposed layer.
     """
 
     __slots__ = ("loh", "label", "layers", "mins", "maxs", "_ends")
@@ -95,14 +98,16 @@ class LeafNode:
         self.loh = loh
         self.label = label
         self.layers: list[np.ndarray] = []
-        self.mins = loh.layer_mins.tolist()
-        self.maxs = loh.layer_maxs.tolist()
+        self.mins = loh.layer_mins
+        self.maxs = loh.layer_maxs
         self._ends = [0, *loh.boundaries.tolist()]
 
     def ensure(self, i: int) -> bool:
         if i >= len(self._ends):
             return False
         layers, ends = self.layers, self._ends
+        if len(self.mins) < i:
+            self.loh.place(i)
         while len(layers) < i:
             j = len(layers)
             layers.append(self.loh.values[ends[j] : ends[j + 1]])
@@ -191,7 +196,9 @@ class CartesianProductTree:
             if root.demand(k - cum) is None:
                 break  # product exhausted; cum == total >= k already
         pool = layers[0] if j == 1 else np.concatenate(layers[:j])
-        self.root_pool_size = int(pool.size)
+        self.root_pool_size = cum
+        if cum == k:  # the prefix is the answer: the caller gets its own copy
+            return pool.copy() if j == 1 else pool
         # in place on a root layer or a fresh concatenation
         return linear_select(pool, k)[0]
 
@@ -212,8 +219,9 @@ def build_tree(inputs, config: TreeConfig | None = None) -> CartesianProductTree
 
     The split is left-heavy (ceil(m/2) inputs go left), so the shape is
     deterministic and the height is ceil(log2 m). Building performs no
-    selection work beyond lohifying each input. No input value is read before
-    lohify's one copy: check_extremes judges each built heap's extremes.
+    selection work beyond lohifying each input, which places only a front of
+    a large input. No input value is read before lohify's one copy:
+    check_extremes judges each heap's min and hi, its max taken at build.
     """
     cfg = config if config is not None else TreeConfig()
     arrays = as_value_arrays(inputs)
@@ -225,7 +233,7 @@ def build_tree(inputs, config: TreeConfig | None = None) -> CartesianProductTree
         except InvalidValueError:  # lohify's own extremes check cannot name the input
             raise InvalidValueError(f"input {i} contains NaN or infinite values") from None
         leaves.append(LeafNode(heap, label=f"leaf{i}"))
-    check_extremes([leaf.mins[0] for leaf in leaves], [leaf.maxs[-1] for leaf in leaves])
+    check_extremes([leaf.mins[0] for leaf in leaves], [leaf.loh.hi for leaf in leaves])
     internals: list[InternalNode] = []
     root = _subtree(leaves, 0, len(leaves), cfg.mode, alpha, internals)
     return CartesianProductTree(root, leaves, internals, arrays[0].dtype)

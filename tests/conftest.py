@@ -18,8 +18,9 @@ def assert_layers_are_rank_slices(heap, values):
     """Each layer of heap, once sorted, equals its slice of sorted(values).
 
     Stronger than verify_loh, which sees only the heap: this also ties every
-    layer to the input values it must hold.
+    layer to the input values it must hold. Every layer is placed first.
     """
+    heap.place(heap.boundaries.size)
     ref = np.sort(np.asarray(values))
     assert heap.boundaries[-1] == ref.size
     layer_of = np.repeat(

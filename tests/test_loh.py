@@ -432,7 +432,10 @@ class TestLohify:
     def test_layers_are_value_ordered(self):
         rng = np.random.default_rng(7)
         heap = lohify(rng.random(500))
-        assert (heap.layer_maxs[:-1] <= heap.layer_mins[1:]).all()
+        heap.place(heap.boundaries.size)
+        mins, maxs = np.array(heap.layer_mins), np.array(heap.layer_maxs)
+        assert mins.size == maxs.size == heap.boundaries.size
+        assert (maxs[:-1] <= mins[1:]).all()
 
     def test_layer_sizes_match_schedule(self):
         heap = lohify(np.arange(60, dtype=np.int64)[::-1], 1.1)
@@ -461,6 +464,7 @@ class TestLohify:
             vals = rng.integers(-1000, 1000, size=n).astype(dtype)
             snapshot = vals.tobytes()
             heap = lohify(vals, 1.01)
+            heap.place(heap.boundaries.size)
             assert vals.tobytes() == snapshot
             assert not np.shares_memory(heap.values, vals)
 
@@ -488,6 +492,9 @@ class TestLohify:
         vals = rng.integers(0, 100, size=700).astype(np.int64)
         h1, h2 = lohify(vals), lohify(vals)
         np.testing.assert_array_equal(h1.values, h2.values)
+        h1.place(h1.boundaries.size)
+        h2.place(h2.boundaries.size)
+        np.testing.assert_array_equal(h1.values, h2.values)
         np.testing.assert_array_equal(h1.boundaries, h2.boundaries)
 
     def test_values_are_read_only(self):
@@ -497,6 +504,8 @@ class TestLohify:
         assert not heap.values.flags.writeable
         linear_select(heap.values[:300], 250)
         np.testing.assert_array_equal(heap.values, snapshot)
+        heap.place(heap.boundaries.size)
+        assert not heap.values.flags.writeable
 
     def test_adversarial_inputs_keep_structure(self):
         """Sorted, reversed, all-equal and random inputs build valid heaps
@@ -524,6 +533,15 @@ class TestVerifyLoh:
             np.array([2, 1, 3], dtype=np.int64), heap.boundaries.copy(), heap.alpha
         )
         assert not verify_loh(broken)
+
+    def test_rejects_recorded_extremes_that_disagree(self):
+        """The extremes a heap recorded as it placed its layers must be the
+        layers' own, placed or not when the check starts."""
+        heap = lohify(np.arange(1000, dtype=np.int64)[::-1])
+        assert verify_loh(heap)
+        heap = lohify(np.arange(1000, dtype=np.int64)[::-1])
+        heap.layer_maxs[0] += 1
+        assert not verify_loh(heap)
 
     def test_rejects_wrong_boundaries(self):
         heap = lohify(np.array([1, 2, 3], dtype=np.int64))

@@ -81,3 +81,49 @@ def heap_values(draw):
 def test_heap_layers_are_rank_slices(alpha, values):
     """Each layer, sorted, is its slice of the sorted input, at any rank."""
     assert_layers_are_rank_slices(lohify(values, alpha), values)
+
+
+# Values for inputs long enough that a heap places only its front at build.
+LAZY_FAMILIES = {
+    "ties": (0, 4),
+    "negative": (-60, 6),
+    "wide": (-(10**9), 10**9),
+}
+MAX_LAZY_TOTAL = 300_000
+
+
+@st.composite
+def lazy_instances(draw):
+    """(arrays, ks): one to three ragged inputs whose first is long enough
+    not to be placed whole at build, and a query sequence that grows k,
+    reaches deep past each front, repeats and shrinks.
+
+    Lengths keep the product within MAX_LAZY_TOTAL; values come from a
+    seeded generator over one family, so long inputs stay cheap to draw.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lo, hi = LAZY_FAMILIES[draw(st.sampled_from(sorted(LAZY_FAMILIES)))]
+    lengths = [draw(st.integers(500, 3000))]
+    for _ in range(draw(st.integers(0, 2))):
+        lengths.append(draw(st.integers(1, max(1, min(3000, MAX_LAZY_TOTAL // math.prod(lengths))))))
+    arrays = [rng.integers(lo, hi, size=n, dtype=np.int64) for n in lengths]
+    total = math.prod(lengths)
+    growing = sorted(draw(st.lists(st.integers(1, total), min_size=1, max_size=3)))
+    deep = draw(st.integers(min(total, 4 * lengths[0]), total))
+    ks = [*growing, max(growing[-1], deep), deep, draw(st.integers(1, total))]
+    return arrays, ks
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(lazy_instances())
+def test_lazy_leaves_equal_brute_force(case):
+    """Leaves placed on demand answer every query of a growing, resumed and
+    shrinking sequence with exactly the brute-force multiset, in both modes."""
+    arrays, ks = case
+    expect = brute_multi(arrays, max(ks))
+    for mode in MODES:
+        tree = build_tree(arrays, TreeConfig(mode=mode))
+        assert len(tree.leaves[0].loh.layer_mins) < tree.leaves[0].loh.boundaries.size
+        for k in ks:
+            got = np.sort(tree.select_k(k))
+            np.testing.assert_array_equal(got, expect[:k], err_msg=f"{mode} k={k}")

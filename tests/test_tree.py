@@ -489,6 +489,49 @@ class TestMemoryPinning:
             assert _buffer_nbytes(answer) == answer.nbytes
 
 
+class TestLazyLeaves:
+    """A large input is placed front first: its leaf places further layers
+    only when its parent reaches them, and the build still judges every value."""
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_non_finite_at_the_back_is_refused_and_named(self, bad):
+        second = np.arange(10**4, dtype=np.float64)
+        heap = build_tree([second]).leaves[0].loh
+        assert len(heap.layer_mins) < heap.boundaries.size  # the back is unplaced
+        second[-1] = bad
+        with pytest.raises(InvalidValueError, match="input 1"):
+            build_tree([[1.0, 2.0], second])
+
+    def test_sum_overflow_from_a_max_in_the_back(self):
+        """The int64 sum rule sees a max that no placed layer holds."""
+        third = np.arange(10**4, dtype=np.int64)
+        third[-1] = 2**62
+        heap = build_tree([third]).leaves[0].loh
+        assert heap.hi == 2**62 and max(heap.layer_maxs) < 10**4
+        with pytest.raises(InvalidValueError):
+            build_tree([[0, 1], [0, 1], third])
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_large_inputs_stay_unplaced_until_drained(self, mode):
+        """Inputs of 2**16 values keep unplaced layers after build and after
+        a small query; a leaf root drained to its total ends placed whole."""
+        arrays = seeded_arrays(23, 3, 1 << 16, hi=1 << 40)
+        # the 10 smallest sums take each summand from its input's 10 smallest
+        expect = brute_multi([np.sort(a)[:10] for a in arrays], 10)
+        tree = build_tree(arrays, TreeConfig(mode=mode))
+        for k in (None, 10):
+            if k is not None:
+                np.testing.assert_array_equal(np.sort(tree.select_k(k)), expect)
+            for leaf in tree.leaves:
+                assert len(leaf.mins) < leaf.loh.boundaries.size
+                assert len(leaf.layers) <= len(leaf.mins)
+        tree = build_tree(arrays[:1], TreeConfig(mode=mode))
+        heap = tree.leaves[0].loh
+        np.testing.assert_array_equal(np.sort(tree.select_k(tree.total)), np.sort(arrays[0]))
+        assert len(heap.layer_mins) == len(heap.layer_maxs) == heap.boundaries.size
+        assert verify_loh(heap)
+
+
 class TestSelectionPeakMemory:
     def test_large_k_holds_each_generated_value_at_most_twice(self):
         """A standard query at k=2^20 on five 256-value inputs peaks within
