@@ -26,8 +26,10 @@ values are read-only, so a selection over them copies them first.
 
 Outside inputs have one rule each: as_value_arrays coerces a group of inputs
 to one numeric profile without reading their values, check_extremes judges
-the group by each input's least and greatest value, and as_count reads every
-count (k, a layer target, a value count) as an exact integer in range.
+the group by each input's least and greatest value (check_finite each input,
+which lohify applies to its own heap, then check_sums the group), and
+as_count reads every count (k, a layer target, a value count) as an exact
+integer in range.
 """
 
 from __future__ import annotations
@@ -55,6 +57,8 @@ __all__ = [
     "as_count",
     "as_value_arrays",
     "check_extremes",
+    "check_finite",
+    "check_sums",
     "layer_size_schedule",
     "layer_sizes",
     "linear_select",
@@ -64,7 +68,21 @@ __all__ = [
 ]
 
 def _alpha_fraction(alpha) -> Fraction:
-    """Exact rational form of a rank; floats convert via their decimal repr."""
+    """Exact rational form of a rank; floats convert via their decimal repr.
+
+    The parse is memoized per value and type, so a config or a heap built
+    again at a rank seen before does not parse it again. Refusals are not
+    memoized; an unhashable alpha is refused as not a number.
+    """
+    try:
+        hash(alpha)
+    except TypeError:
+        raise ConfigError(f"rank alpha must be a number, got {type(alpha).__name__}") from None
+    return _parse_alpha(alpha)
+
+
+@functools.lru_cache(maxsize=64, typed=True)
+def _parse_alpha(alpha) -> Fraction:
     if isinstance(alpha, Fraction):
         frac = alpha
     elif isinstance(alpha, numbers.Integral):
@@ -162,18 +180,18 @@ def as_value_arrays(inputs) -> list[np.ndarray]:
     return arrays
 
 
-def check_extremes(los, his) -> None:
-    """Judge a group of inputs by their extremes: input i lies in [los[i], his[i]].
+def check_finite(lo, hi, name: str) -> None:
+    """Refuse an input, named name, whose least or greatest value is NaN or
+    +-inf: NaN and +inf order last and -inf first, so they show there."""
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise InvalidValueError(f"{name} contains NaN or infinite values")
 
-    Every extreme must be finite: NaN and +-inf are refused, naming the input.
-    A group is refused when a sum of one value from each of up to all m
-    inputs could leave int64, or exceed the largest finite float64: every
-    such sum lies in [m * min(0, lo), m * max(0, hi)] over the group.
-    """
-    for i, (lo, hi) in enumerate(zip(los, his)):
-        # per input, before any reduction: min([1.0, nan]) is 1.0
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise InvalidValueError(f"input {i} contains NaN or infinite values")
+
+def check_sums(los, his) -> None:
+    """Refuse a group of inputs, input i finite in [los[i], his[i]], when a
+    sum of one value from each of up to all m inputs could leave int64, or
+    exceed the largest finite float64: every such sum lies in
+    [m * min(0, lo), m * max(0, hi)] over the group."""
     m, lo, hi = len(los), min(los), max(his)
     if isinstance(lo, numbers.Integral):  # Python ints: numpy int64 products wrap
         lo, hi, bottom, top = int(lo), int(hi), -(2**63), 2**63 - 1
@@ -181,6 +199,17 @@ def check_extremes(los, his) -> None:
         lo, hi, bottom, top = float(lo), float(hi), -sys.float_info.max, sys.float_info.max
     if m * max(0, hi) > top or m * min(0, lo) < bottom:
         raise InvalidValueError(f"sums of {m} values in [{lo}, {hi}] could leave [{bottom}, {top}]")
+
+
+def check_extremes(los, his) -> None:
+    """Judge a group of inputs by their extremes: input i lies in [los[i], his[i]].
+
+    check_finite judges each input, before any reduction (Python's
+    min([1.0, nan]) is 1.0), then check_sums the group.
+    """
+    for i, (lo, hi) in enumerate(zip(los, his)):
+        check_finite(lo, hi, f"input {i}")
+    check_sums(los, his)
 
 
 def as_count(value, lo, hi, name) -> int:
@@ -335,7 +364,7 @@ def lohify(values, alpha=1.1) -> LayerOrderedHeap:
     O(n max(1, log(1/(alpha-1)))). The values end up read-only.
 
     Values must be finite. They are not scanned up front: NaN and +inf order
-    last and -inf first, so check_extremes finds them in the first layer's
+    last and -inf first, so check_finite finds them in the first layer's
     min and in hi, the max of the back (or of the last layer) taken at build.
     """
     work = _coerce(values, "values").copy()
@@ -356,7 +385,7 @@ def lohify(values, alpha=1.1) -> LayerOrderedHeap:
         work.flags.writeable = False
         heap = LayerOrderedHeap(work, bounds, alpha, spans)
         heap.place(front + 1)
-    check_extremes(heap.layer_mins[:1], [heap.hi])
+    check_finite(heap.layer_mins[0], heap.hi, "input")
     return heap
 
 

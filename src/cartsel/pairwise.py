@@ -2,27 +2,41 @@
 
 Each stream is a tree node: a leaf over one input's layer-ordered heap, or an
 internal node emitting its own. Both offer the same fields: layers (a list of
-arrays), mins and maxs (Python scalars), layer i at index i-1, and
-ensure(i), which exposes layers 1..i and reports whether layer i exists.
+arrays), mins and maxs (Python scalars), layer i at index i-1, ensure(i),
+which exposes layers 1..i and reports whether layer i exists, and complete,
+true once mins holds every layer the node will ever have.
 
 The engine works on layer products A(u) + B(v): the multiset of sums of one
 value from layer u of the left stream and one from layer v of the right.
-A binary heap holds two plain tuples (value, is_min, u, v) per product, a
-min tuple valued min(A(u)) + min(B(v)) and a max tuple valued
-max(A(u)) + max(B(v)); tuple order is heap order. Popping a min tuple
-counts the product's values into the carry, records that row u now reaches
-column v, and proposes its grid neighbours: (u, v+1), plus (u+1, 1) when
-v == 1. Every product other than (1, 1) has exactly one proposer, (u, v-1)
-or (u-1, 1), whose min is no larger than its own, so no product is proposed
-twice and none is proposed too late. expand_min prices both, asking a child
-only for the layer a proposal needs, at most one past the deepest this node
-has expanded, and skips those a child cannot supply; the first emission
-seeds (1, 1). Popping a max tuple certifies that the whole product now
-precedes everything not yet generated. At equal value a max tuple pops
-first, since False sorts before True, and (u, v) breaks the remaining ties.
-That is sound, as a popped max is at most every unpopped min, and it keeps
-heavy ties bounded: min-first would expand every product in a tie band, and
-pull its children's layers, before any of them could be certified.
+A binary heap holds plain tuples (value, kind, u, v), ordered as tuples: per
+product a MAX tuple valued max(A(u)) + max(B(v)) and a min tuple, PRICED at
+the exact min(A(u)) + min(B(v)) or, while the child has not produced the
+layer it needs, UNPRICED at a lower bound. Popping a priced tuple counts the
+product's values into the carry, records that row u now reaches column v,
+and proposes its grid neighbours: (u, v+1), plus (u+1, 1) when v == 1.
+Every product other than (1, 1) has exactly one proposer, (u, v-1) or
+(u-1, 1), whose min is no larger than its own, so no product is proposed
+twice and none is proposed too late; the first emission seeds (1, 1).
+
+expand_min prices a proposal exactly when its child already holds the
+layer's min: a layer a leaf has placed (all of them, for a leaf sorted
+whole at build) or one an inner child has emitted. Otherwise it pushes the
+proposal unpriced, at min(A(u)) + max(B(v)) for (u, v+1) and
+max(A(u)) + min(B(1)) for (u+1, 1), at most the product's min as layers
+are value-ordered. Only when an unpriced tuple pops is the child asked for
+the layer, at most one past the deepest this node has expanded; the tuple
+is pushed again at its exact min, or dropped if the layer does not exist.
+So a child emits a layer, about alpha times all its layers before it, only
+once its parent pops a product in it, never just to order a proposal. A
+proposal past a complete child's last layer is skipped.
+
+Popping a max tuple certifies that the whole product now precedes
+everything not yet generated. At equal value a max tuple pops first, as MAX
+is the least kind, and (u, v) breaks the remaining ties. That is sound, as
+a popped max is at most every unpopped min and every unpriced bound is at
+most its product's min, and it keeps heavy ties bounded: min-first would
+expand every product in a tie band, and pull its children's layers, before
+any of them could be certified.
 
 A row's products are expanded in column order, so the columns a row
 reaches between two emissions form one run v0..v1. Values are written only
@@ -54,6 +68,10 @@ __all__ = [
 ]
 
 MODES = ("standard", "wobbly")
+
+# The kind field of a heap tuple (value, kind, u, v). A max tuple sorts first
+# at a tied value; an unpriced tuple's value is only a lower bound.
+MAX, PRICED, UNPRICED = 0, 1, 2
 
 
 class PairwiseState:
@@ -98,7 +116,11 @@ class PairwiseState:
         Its values are written at the next emission, with the rest of row
         u's run. The successors are the next product in the row, (u, v+1),
         and, from the first column only, the first product of the next row,
-        (u+1, 1); a proposal its child cannot supply is skipped.
+        (u+1, 1). It pushes the product's MAX tuple, then each proposal
+        PRICED at its exact min if the child holds that layer's min, else
+        UNPRICED at a lower bound: the child is asked for that layer only
+        when the tuple pops. A proposal past a complete child's last layer
+        is skipped. Nothing but this method adds to values_generated.
         """
         _, _, u, v = t
         left, right = self.left, self.right
@@ -107,22 +129,37 @@ class PairwiseState:
         self.carry_count += size
         self.values_generated += size
         heap = self.heap
-        heapq.heappush(heap, (left.maxs[u - 1] + right.maxs[v - 1], False, u, v))
-        if v < len(right.layers) or right.ensure(v + 1):
-            heapq.heappush(heap, (left.mins[u - 1] + right.mins[v], True, u, v + 1))
-        if v == 1 and (u < len(left.layers) or left.ensure(u + 1)):
-            heapq.heappush(heap, (left.mins[u] + right.mins[0], True, u + 1, 1))
+        heapq.heappush(heap, (left.maxs[u - 1] + right.maxs[v - 1], MAX, u, v))
+        if v < len(right.layers) or v < len(right.mins) and right.ensure(v + 1):
+            heapq.heappush(heap, (left.mins[u - 1] + right.mins[v], PRICED, u, v + 1))
+        elif not right.complete:
+            heapq.heappush(heap, (left.mins[u - 1] + right.maxs[v - 1], UNPRICED, u, v + 1))
+        if v == 1:
+            if u < len(left.layers) or u < len(left.mins) and left.ensure(u + 1):
+                heapq.heappush(heap, (left.mins[u] + right.mins[0], PRICED, u + 1, 1))
+            elif not left.complete:
+                heapq.heappush(heap, (left.maxs[u - 1] + right.mins[0], UNPRICED, u + 1, 1))
 
     def _pop_one(self) -> int:
-        """Pop one tuple; return the product size on a max pop, else 0."""
-        value, is_min, u, v = t = heapq.heappop(self.heap)
+        """Pop one tuple; return the product size on a max pop, else 0.
+
+        An unpriced tuple asks for its layer, the left child's layer u when
+        v == 1, else the right child's layer v, and is pushed again priced.
+        """
+        value, kind, u, v = t = heapq.heappop(self.heap)
         self.tuple_pops += 1
-        if not is_min:
-            size = self.left.layers[u - 1].size * self.right.layers[v - 1].size
+        if kind == PRICED:
+            self.expand_min(t)
+            return 0
+        left, right = self.left, self.right
+        if kind == MAX:
+            size = left.layers[u - 1].size * right.layers[v - 1].size
             self.s += size
             self.last_max_value = value
             return size
-        self.expand_min(t)
+        child, i = (right, v) if v > 1 else (left, u)
+        if child.ensure(i):
+            heapq.heappush(self.heap, (left.mins[u - 1] + right.mins[v - 1], PRICED, u, v))
         return 0
 
     def _emit(self, layer: np.ndarray, rest: np.ndarray) -> np.ndarray:
@@ -171,7 +208,7 @@ class PairwiseState:
             left.ensure(1)
             right.ensure(1)
             self.carry = np.empty(0, np.result_type(left.layers[0].dtype, right.layers[0].dtype))
-            heapq.heappush(heap, (left.mins[0] + right.mins[0], True, 1, 1))
+            heapq.heappush(heap, (left.mins[0] + right.mins[0], PRICED, 1, 1))
         if self.mode == "standard":
             while self.s < target and heap:
                 self._pop_one()

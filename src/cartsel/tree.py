@@ -17,12 +17,12 @@ no set order.
 TreeConfig reads the rank alpha and the mode once per tree: every leaf heap
 and node schedule gets the one parsed Fraction, and every node engine the one
 mode. Two-array selection is the two-leaf tree. Inputs are judged by the loh
-rules: values by check_extremes on the built leaves, k by as_count.
+rules: values by their extremes, each input's by lohify as it builds the
+leaf and the group's sums by check_sums over the leaves, and k by as_count.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -35,7 +35,7 @@ from .loh import (
     _alpha_fraction,
     as_count,
     as_value_arrays,
-    check_extremes,
+    check_sums,
     layer_size_schedule,
     linear_select,
     lohify,
@@ -63,11 +63,11 @@ class TreeConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r}, expected one of {MODES}")
-        self.alpha_fraction  # validate now; the parse is cached for every build
+        self.alpha_fraction  # validate now; the parse is memoized for every build
 
-    @functools.cached_property
+    @property
     def alpha_fraction(self) -> Fraction:
-        """The rank as an exact rational, parsed once per config."""
+        """The rank as an exact rational, parsed once per distinct rank."""
         return _alpha_fraction(self.alpha)
 
 
@@ -113,6 +113,11 @@ class LeafNode:
             layers.append(self.loh.values[ends[j] : ends[j + 1]])
         return True
 
+    @property
+    def complete(self) -> bool:
+        """Whether mins and maxs hold every layer: the heap is fully placed."""
+        return len(self.mins) == len(self._ends) - 1
+
     def demand(self, count: int):
         """Expose the next layer, or return None past the last; a leaf's
         layer sizes are fixed, so the demanded count is not used."""
@@ -135,7 +140,7 @@ class InternalNode:
     directly through demand().
     """
 
-    __slots__ = ("state", "label", "layers", "mins", "maxs", "_schedule")
+    __slots__ = ("state", "label", "layers", "mins", "maxs", "complete", "_schedule")
 
     def __init__(self, left, right, mode: str, alpha: Fraction, label: str = "node"):
         self.state = PairwiseState(left, right, mode)
@@ -143,6 +148,7 @@ class InternalNode:
         self.layers = self.state.layers
         self.mins = self.state.mins
         self.maxs = self.state.maxs
+        self.complete = False  # set once the product runs out
         self._schedule = layer_size_schedule(alpha)
 
     def ensure(self, i: int) -> bool:
@@ -150,6 +156,7 @@ class InternalNode:
         # never needed again
         while len(self.layers) < i:
             if self.state.generate_next_layer(next(self._schedule)) is None:
+                self.complete = True
                 return False
         return True
 
@@ -220,8 +227,9 @@ def build_tree(inputs, config: TreeConfig | None = None) -> CartesianProductTree
     The split is left-heavy (ceil(m/2) inputs go left), so the shape is
     deterministic and the height is ceil(log2 m). Building performs no
     selection work beyond lohifying each input, which places only a front of
-    a large input. No input value is read before lohify's one copy:
-    check_extremes judges each heap's min and hi, its max taken at build.
+    a large input. No input value is read before lohify's one copy: lohify
+    refuses a non-finite min or hi, its max taken at build, and check_sums
+    judges the group from the same extremes.
     """
     cfg = config if config is not None else TreeConfig()
     arrays = as_value_arrays(inputs)
@@ -233,7 +241,7 @@ def build_tree(inputs, config: TreeConfig | None = None) -> CartesianProductTree
         except InvalidValueError:  # lohify's own extremes check cannot name the input
             raise InvalidValueError(f"input {i} contains NaN or infinite values") from None
         leaves.append(LeafNode(heap, label=f"leaf{i}"))
-    check_extremes([leaf.mins[0] for leaf in leaves], [leaf.loh.hi for leaf in leaves])
+    check_sums([leaf.mins[0] for leaf in leaves], [leaf.loh.hi for leaf in leaves])
     internals: list[InternalNode] = []
     root = _subtree(leaves, 0, len(leaves), cfg.mode, alpha, internals)
     return CartesianProductTree(root, leaves, internals, arrays[0].dtype)

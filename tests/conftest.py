@@ -35,3 +35,17 @@ def buffer_nbytes(arr):
     while isinstance(arr.base, np.ndarray):
         arr = arr.base
     return arr.nbytes
+
+
+def k_smallest_sums(arrays, k):
+    """The k smallest sums of one value from each array, sorted.
+
+    Folds the arrays in order, keeping only the k smallest partial sums at
+    each step: every sum among the k smallest of the whole product extends
+    a partial sum among the k smallest so far, so the fold is exact, and it
+    never forms more than k * k sums at once.
+    """
+    best = np.sort(arrays[0])[:k]
+    for b in arrays[1:]:
+        best = np.sort(np.add.outer(best, np.sort(b)[:k]), axis=None)[:k]
+    return best

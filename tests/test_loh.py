@@ -87,7 +87,9 @@ class TestLayerSizeSchedule:
                 layer_sizes(1.1, n)
         assert layer_sizes(1.1, np.int64(3)) == [1, 2]
 
-    @pytest.mark.parametrize("alpha", (1, 1.0, 0.5, 0, -2, "abc", float("inf"), float("nan")))
+    @pytest.mark.parametrize(
+        "alpha", (1, 1.0, 0.5, 0, -2, "abc", float("inf"), float("nan"), [1.5], np.array([1.5]))
+    )
     def test_bad_alpha_rejected(self, alpha):
         with pytest.raises(ConfigError):
             layer_sizes(alpha, 10)

@@ -10,7 +10,7 @@ import cartsel.pairwise as pairwise_mod
 from cartsel.errors import ConfigError, ContractError, InvalidValueError
 from cartsel.loh import linear_select, lohify, partition_by_value
 from cartsel.oracle import brute_pairwise
-from cartsel.pairwise import MODES, PairwiseState
+from cartsel.pairwise import MODES, PRICED, UNPRICED, PairwiseState
 from cartsel.tree import LeafNode, TreeConfig, build_tree, select_pairwise
 from conftest import G, G0, NON_FINITE, buffer_nbytes
 
@@ -130,14 +130,18 @@ class TestProposals:
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("hi", (4, 1 << 20))
     def test_no_product_is_proposed_twice(self, monkeypatch, mode, hi):
-        """Every (u, v) pushed as a min tuple is pushed once per engine, on
-        random and tie-heavy inputs, through whole trees and full drains."""
-        pushed = []
+        """Every (u, v) pushed as a priced min tuple is pushed once per
+        engine, on random and tie-heavy inputs, through whole trees and full
+        drains. An unpriced proposal is priced when it pops, so its exact
+        push is its one priced push, not a second proposal."""
+        pushed, unpriced = [], []
 
         def heappush(heap, item):
-            _, is_min, u, v = item
-            if is_min:
+            _, kind, u, v = item
+            if kind == PRICED:
                 pushed.append((id(heap), u, v))
+            elif kind == UNPRICED:
+                unpriced.append((id(heap), u, v))
             heapq.heappush(heap, item)
 
         monkeypatch.setattr(
@@ -153,6 +157,7 @@ class TestProposals:
         assert state.generate_next_layer(1) is None
         assert len(pushed) > 100
         assert len(set(pushed)) == len(pushed)
+        assert unpriced and len(set(unpriced)) == len(unpriced)
 
 
 class TestGenerateNextLayer:

@@ -1,9 +1,12 @@
-"""Property tests: both modes return exactly the brute-force multiset, and
-every layer-ordered heap holds the rank slices of its input.
+"""Property tests: both modes return exactly the brute-force multiset,
+every layer-ordered heap holds the rank slices of its input, and no node of
+a standard-mode tree generates more than the work bound at any rank.
 
 Inputs are drawn from the families that stress ties and ranges: few distinct
 values, negatives, magnitudes at the int64 limit for m summands, and ragged
 lengths, with m up to 8 and the full product kept small enough to enumerate.
+The work-bound property draws up to 40 inputs and checks its answers against
+the fold of k smallest sums instead.
 """
 
 import math
@@ -16,7 +19,7 @@ from cartsel.loh import lohify
 from cartsel.oracle import brute_multi
 from cartsel.pairwise import MODES
 from cartsel.tree import TreeConfig, build_tree
-from conftest import assert_layers_are_rank_slices
+from conftest import G, G0, assert_layers_are_rank_slices, k_smallest_sums
 
 MAX_M = 8
 MAX_TOTAL = 4096
@@ -127,3 +130,46 @@ def test_lazy_leaves_equal_brute_force(case):
         for k in ks:
             got = np.sort(tree.select_k(k))
             np.testing.assert_array_equal(got, expect[:k], err_msg=f"{mode} k={k}")
+
+
+MAX_WORK_M = 40
+# Per input value ranges: heavy ties, small signed values, and signed values
+# wide enough that no two of MAX_WORK_M inputs' sums ever tie by chance.
+WORK_FAMILIES = {
+    "one-value": (0, 1),
+    "ties": (0, 4),
+    "signed": (-50, 50),
+    "wide": (-(2**60) // MAX_WORK_M, 2**60 // MAX_WORK_M),
+}
+
+
+@st.composite
+def work_instances(draw):
+    """(arrays, alpha, k): 2 to MAX_WORK_M ragged inputs of 1 to 59 values
+    from one family, a rank alpha in (1, 8] and k up to 5,000.
+
+    Values come from a seeded generator, so many inputs stay cheap to draw.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lo, hi = WORK_FAMILIES[draw(st.sampled_from(sorted(WORK_FAMILIES)))]
+    m = draw(st.integers(2, MAX_WORK_M))
+    lengths = draw(st.lists(st.integers(1, 59), min_size=m, max_size=m))
+    arrays = [rng.integers(lo, hi, size=n, dtype=np.int64) for n in lengths]
+    alpha = draw(st.fractions(1, 8, max_denominator=1000).filter(lambda a: a > 1))
+    k = draw(st.integers(1, min(math.prod(lengths), 5000)))
+    return arrays, alpha, k
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(work_instances())
+def test_every_node_stays_within_the_work_bound_at_any_rank(case):
+    """In standard mode no internal node generates more than
+    G * alpha**2 * k + G0 values for a query of k, at any rank and depth:
+    a node asks a child for a layer only when a product in it pops, so a
+    child's next layer, about alpha times all before it, is not emitted just
+    to price a proposal."""
+    arrays, alpha, k = case
+    tree = build_tree(arrays, TreeConfig(alpha=alpha))
+    np.testing.assert_array_equal(np.sort(tree.select_k(k)), k_smallest_sums(arrays, k))
+    worst = max(node.state.values_generated for node in tree.internals)
+    assert worst <= G * float(alpha) ** 2 * k + G0

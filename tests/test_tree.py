@@ -8,10 +8,13 @@ import sys
 import textwrap
 import tracemalloc
 import weakref
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import cartsel.loh as loh_mod
+import cartsel.tree as tree_mod
 from cartsel.errors import (
     ConfigError,
     ContractError,
@@ -22,7 +25,7 @@ from cartsel.loh import verify_loh
 from cartsel.oracle import brute_multi
 from cartsel.pairwise import MODES, PairwiseState
 from cartsel.tree import InternalNode, LeafNode, TreeConfig, build_tree, select_pairwise
-from conftest import G, G0, NON_FINITE, buffer_nbytes as _buffer_nbytes
+from conftest import G, G0, NON_FINITE, buffer_nbytes as _buffer_nbytes, k_smallest_sums
 
 
 def seeded_arrays(seed, m, n, hi=100):
@@ -85,6 +88,27 @@ class TestBuildTree:
     def test_sum_overflow_rejected(self):
         with pytest.raises(InvalidValueError):
             build_tree([[2**62], [2**62], [2**62]])
+
+    def test_each_input_is_judged_once_per_build(self, monkeypatch):
+        """lohify judges each input's extremes as it builds its leaf, and
+        the group's sums are judged once: no input is judged twice."""
+        judged = []
+        finite, sums = loh_mod.check_finite, tree_mod.check_sums
+
+        def check_finite(lo, hi, name):
+            judged.append(("finite", lo, hi))
+            finite(lo, hi, name)
+
+        def check_sums(los, his):
+            judged.append(("sums", *los, *his))
+            sums(los, his)
+
+        monkeypatch.setattr(loh_mod, "check_finite", check_finite)
+        monkeypatch.setattr(tree_mod, "check_sums", check_sums)
+        build_tree([[3, 1, 2], [5, 4], [-7]])
+        assert judged == [
+            ("finite", 1, 3), ("finite", 4, 5), ("finite", -7, -7), ("sums", 1, 4, -7, 3, 5, -7)
+        ]
 
     @pytest.mark.parametrize("extreme", (2**62, -(2**62) - 1))
     def test_sum_overflow_from_the_last_input_alone(self, extreme):
@@ -153,6 +177,26 @@ class TestBuildTree:
         tree = build_tree(seeded_arrays(18, 5, 8), TreeConfig(alpha=Rank(1.1)))
         tree.select_k(100)
         assert len(reads) == 1
+
+    def test_a_rank_seen_before_is_not_parsed_again(self):
+        """Configs with an equal rank of one type share one parse; a rank
+        equal in value but of another type is parsed on its own, and a
+        refused rank is refused every time."""
+        reads = []
+
+        class Rank(float):
+            def __str__(self):
+                reads.append(self)
+                return float.__repr__(self)
+
+        first, second = TreeConfig(alpha=Rank(1.37)), TreeConfig(alpha=Rank(1.37))
+        assert first.alpha_fraction is second.alpha_fraction
+        assert len(reads) == 1
+        assert TreeConfig(alpha=np.float32(1.1)).alpha_fraction == Fraction(11, 10)
+        assert TreeConfig(alpha=float(np.float32(1.1))).alpha_fraction == Fraction("1.100000023841858")
+        for _ in range(2):
+            with pytest.raises(ConfigError):
+                TreeConfig(alpha=0.9)
 
 
 class TestSelectK:
@@ -292,10 +336,10 @@ class TestWorkIsPinned:
     @pytest.mark.parametrize(
         "name, mode, generated, pops",
         [
-            ("random", "standard", 1328, 191),
-            ("random", "wobbly", 2732, 141),
-            ("ties", "standard", 618, 113),
-            ("ties", "wobbly", 576, 96),
+            ("random", "standard", 1293, 214),
+            ("random", "wobbly", 2684, 153),
+            ("ties", "standard", 598, 119),
+            ("ties", "wobbly", 564, 102),
         ],
     )
     def test_values_generated_and_pops(self, name, mode, generated, pops):
@@ -370,6 +414,47 @@ class TestPerNodeWork:
         assert tree.select_k(k).size == k
         worst = max(node.state.values_generated for node in tree.internals)
         assert worst <= G * 1.1 * 1.1 * k + G0
+
+
+class TestLargeRank:
+    @pytest.mark.parametrize(
+        "m, n, alpha, k",
+        [(16, 64, 64, 10), (64, 64, 8, 10), (256, 32, 4, 100), (64, 64, 64, 10)],
+    )
+    def test_large_rank_fits_under_a_memory_cap(self, m, n, alpha, k):
+        """A large rank or a deep tree selects small k under a 3 GB
+        address-space cap with under a million values generated. Each layer
+        of a child is about alpha times all before it, so a child must not
+        emit one only to price a proposal its parent may never expand. Runs
+        in a child process so the cap binds nothing else; the answer is
+        checked against the pairwise fold of k smallest sums."""
+        pytest.importorskip("resource")
+        rng = np.random.default_rng(0)
+        arrays = [rng.integers(0, 1 << 30, size=n) for _ in range(m)]
+        script = textwrap.dedent(
+            f"""
+            import resource, sys
+            import numpy as np
+            from cartsel.tree import TreeConfig, build_tree
+
+            cap = 3_000_000_000
+            resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+            arrays = [np.array(line.split(), dtype=np.int64) for line in sys.stdin]
+            tree = build_tree(arrays, TreeConfig(alpha={alpha}))
+            answer = np.sort(tree.select_k({k}))
+            print(tree.stats().values_generated, *answer.tolist())
+            """
+        )
+        data = "\n".join(" ".join(map(str, a)) for a in arrays)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run(
+            [sys.executable, "-c", script], input=data, env=env,
+            capture_output=True, text=True, timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+        generated, *answer = map(int, out.stdout.split())
+        assert generated < 1_000_000
+        np.testing.assert_array_equal(answer, k_smallest_sums(arrays, k))
 
 
 class TestWobblyCascade:
