@@ -3,7 +3,8 @@
 Instance files hold one array per line, values separated by spaces or tabs;
 blank lines and lines starting with '#' are ignored. All commands are
 deterministic given their flags and seed. Exit codes: 0 success, 1 self-check
-mismatch or resource refusal, 2 unusable input or flags, 3 k out of range.
+mismatch or resource refusal, 2 unusable input or flags, 3 k out of range;
+EXIT_CODES maps each kind of error to its code.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .errors import (
     InvalidValueError,
     ParseError,
 )
+from .loh import DEFAULT_ALPHA, as_value_arrays
 from .oracle import DEFAULT_CAP, brute_multi
 from .pairwise import MODES
 from .tree import TreeConfig, build_tree
@@ -49,21 +51,27 @@ EXIT_FAIL = 1
 EXIT_PARSE = 2
 EXIT_RANGE = 3
 
+# An error exits with the code of the first row whose kinds it is an instance of.
+EXIT_CODES = (
+    (ContractError, EXIT_RANGE),
+    ((ParseError, ConfigError, EmptyInputError, InvalidValueError, OSError), EXIT_PARSE),
+    (CartselError, EXIT_FAIL),
+)
+
 BENCH_MODES = MODES + ("naive",)
 
 
 def read_instance(path) -> list[np.ndarray]:
-    """Parse an instance file into one array per non-comment line."""
+    """Parse an instance file into one array per non-comment line; the
+    arrays get one profile by as_value_arrays' group rule."""
     rows: list[list] = []
-    any_float = False
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, 1):
             body = line.strip()
             if not body or body.startswith("#"):
                 continue
-            tokens = body.split()
             values: list = []
-            for tok in tokens:
+            for tok in body.split():
                 try:
                     v = int(tok)
                 except ValueError:
@@ -87,12 +95,10 @@ def read_instance(path) -> list[np.ndarray]:
                         f"line {line_no}: non-finite value {tok!r}", line_no
                     )
                 values.append(x)
-                any_float = True
             rows.append(values)
     if not rows:
         raise ParseError("no arrays found in instance file")
-    dtype = np.float64 if any_float else np.int64
-    return [np.array(row, dtype=dtype) for row in rows]
+    return as_value_arrays(rows)
 
 
 def write_instance(arrays, fh) -> None:
@@ -113,8 +119,6 @@ def _open_out(path):
 
 
 def cmd_gen(args) -> int:
-    if args.n < 1 or args.m < 1:
-        raise ConfigError(f"need n >= 1 and m >= 1, got n={args.n} m={args.m}")
     rng = np.random.default_rng(args.seed)
     arrays = _draw_instance(rng, args.n, args.m, args.dist)
     with _open_out(args.out) as out:
@@ -123,6 +127,8 @@ def cmd_gen(args) -> int:
 
 
 def _draw_instance(rng, n, m, dist):
+    if n < 1 or m < 1:
+        raise ConfigError(f"need n >= 1 and m >= 1, got n={n} m={m}")
     if dist == "ints":
         return [rng.integers(0, 1 << 30, size=n, dtype=np.int64) for _ in range(m)]
     if dist == "reals":
@@ -217,18 +223,12 @@ def cmd_verify(args) -> int:
         f"cases={report.cases} oracle_failures={len(report.oracle_failures)} "
         f"agreement_failures={len(report.agreement_failures)}"
     )
-    for fail in report.oracle_failures:
-        print(
-            "MISMATCH seed={seed} m={m} n={n} trial={trial} k={k} mode={mode}".format(
-                **fail
-            )
-        )
-    for fail in report.agreement_failures:
-        print(
-            "MODE-DISAGREEMENT seed={seed} m={m} n={n} trial={trial} k={k}".format(
-                **fail
-            )
-        )
+    for label, failures in (
+        ("MISMATCH", report.oracle_failures),
+        ("MODE-DISAGREEMENT", report.agreement_failures),
+    ):
+        for fail in failures:
+            print(label, *(f"{key}={value}" for key, value in fail.items()))
     return EXIT_OK if report.ok else EXIT_FAIL
 
 
@@ -298,20 +298,25 @@ def run_bench(
     n, m, alpha, ks, modes, trials, seed, dist="ints", cap=DEFAULT_CAP
 ) -> list[BenchRecord]:
     """Time selections over one seeded instance; one record per (mode, k, trial)
-    plus a trailing mean record per (mode, k)."""
+    plus a trailing mean record per (mode, k).
+
+    The whole request is judged before anything is timed.
+    """
     for mode in modes:
         if mode not in BENCH_MODES:
             raise ConfigError(f"unknown mode {mode!r}, expected one of {BENCH_MODES}")
+    if not modes or not ks:
+        raise ConfigError(f"need at least one mode and one k, got modes={modes} ks={ks}")
     if trials < 1:
         raise ConfigError(f"need trials >= 1, got {trials}")
     rng = np.random.default_rng(seed)
     arrays = _draw_instance(rng, n, m, dist)
     total = n**m
+    if max(ks) > total:
+        raise ContractError(f"k={max(ks)} exceeds the product size {total}")
     records: list[BenchRecord] = []
     for mode in modes:
         for k in ks:
-            if k > total:
-                raise ContractError(f"k={k} exceeds the product size {total}")
             for trial in range(trials):
                 if mode == "naive":
                     t0 = time.perf_counter()
@@ -342,8 +347,6 @@ def run_bench(
 
 
 def cmd_bench(args) -> int:
-    if args.n < 1 or args.m < 1:
-        raise ConfigError(f"need n >= 1 and m >= 1, got n={args.n} m={args.m}")
     ks = parse_k_spec(args.k)
     modes = [tok.strip() for tok in args.modes.split(",") if tok.strip()]
     records = run_bench(
@@ -374,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     sel = sub.add_parser("select", help="select the k smallest sums of an instance")
     sel.add_argument("--input", required=True, help="instance file path")
     sel.add_argument("--k", type=int, required=True)
-    sel.add_argument("--alpha", type=float, default=1.1)
+    sel.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
     sel.add_argument("--mode", choices=MODES, default="standard")
     sel.add_argument("--sorted", action="store_true", help="sort the output values")
     sel.add_argument("--out", default=None, help="output path (default stdout)")
@@ -391,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     ben = sub.add_parser("bench", help="time selections and write a CSV report")
     ben.add_argument("--n", type=int, required=True)
     ben.add_argument("--m", type=int, required=True)
-    ben.add_argument("--alpha", type=float, default=1.1)
+    ben.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
     ben.add_argument("--k", required=True, help="k list: '4,8', '2^12', or '2^10..2^20'")
     ben.add_argument("--modes", default="standard,wobbly")
     ben.add_argument("--trials", type=int, default=20)
@@ -412,21 +415,9 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except ParseError as exc:
+    except (CartselError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (ConfigError, EmptyInputError, InvalidValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except ContractError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RANGE
-    except CartselError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAIL
+        return next(code for kinds, code in EXIT_CODES if isinstance(exc, kinds))
 
 
 if __name__ == "__main__":

@@ -25,11 +25,11 @@ out only the head a caller keeps, always as a new array. A built heap's
 values are read-only, so a selection over them copies them first.
 
 Outside inputs have one rule each: as_value_arrays coerces a group of inputs
-to one numeric profile without reading their values, check_extremes judges
-the group by each input's least and greatest value (check_finite each input,
-which lohify applies to its own heap, then check_sums the group), and
-as_count reads every count (k, a layer target, a value count) as an exact
-integer in range.
+to one numeric profile without reading their values, the values are judged
+by each input's least and greatest value (check_finite each input, which
+lohify applies to its own heap, then check_sums the group), and as_count
+reads every count (k, a layer target, a value count) as an exact integer in
+range. DEFAULT_ALPHA is the rank every entry point uses when given none.
 """
 
 from __future__ import annotations
@@ -53,10 +53,10 @@ from .errors import (
 )
 
 __all__ = [
+    "DEFAULT_ALPHA",
     "LayerOrderedHeap",
     "as_count",
     "as_value_arrays",
-    "check_extremes",
     "check_finite",
     "check_sums",
     "layer_size_schedule",
@@ -66,6 +66,9 @@ __all__ = [
     "partition_by_value",
     "verify_loh",
 ]
+
+DEFAULT_ALPHA = 1.1
+
 
 def _alpha_fraction(alpha) -> Fraction:
     """Exact rational form of a rank; floats convert via their decimal repr.
@@ -168,9 +171,9 @@ def as_value_arrays(inputs) -> list[np.ndarray]:
     """Coerce each input to int64 or float64 and promote the group to one profile.
 
     If any input is float the whole group becomes float64. No value of a
-    signed or float input is read: check_extremes judges the values. An input
-    already in the profile may come back as itself, not a copy: callers must
-    not write to the result.
+    signed or float input is read: check_finite and check_sums judge the
+    values from each input's extremes. An input already in the profile may
+    come back as itself, not a copy: callers must not write to the result.
     """
     arrays = [_coerce(x, f"input {i}") for i, x in enumerate(inputs)]
     if not arrays:
@@ -199,17 +202,6 @@ def check_sums(los, his) -> None:
         lo, hi, bottom, top = float(lo), float(hi), -sys.float_info.max, sys.float_info.max
     if m * max(0, hi) > top or m * min(0, lo) < bottom:
         raise InvalidValueError(f"sums of {m} values in [{lo}, {hi}] could leave [{bottom}, {top}]")
-
-
-def check_extremes(los, his) -> None:
-    """Judge a group of inputs by their extremes: input i lies in [los[i], his[i]].
-
-    check_finite judges each input, before any reduction (Python's
-    min([1.0, nan]) is 1.0), then check_sums the group.
-    """
-    for i, (lo, hi) in enumerate(zip(los, his)):
-        check_finite(lo, hi, f"input {i}")
-    check_sums(los, his)
 
 
 def as_count(value, lo, hi, name) -> int:
@@ -279,32 +271,33 @@ class LayerOrderedHeap:
     boundaries[i] is the cumulative end offset of layer i+1 (the last entry
     equals len(values)), as scheduled by the rank alpha, kept as given to
     lohify, which shares one read-only boundary array between heaps of one
-    length. Layers are addressed 1-based to match the indices carried by
-    selection tuples.
+    length. ends is [0, *boundaries] as Python ints, so layer i holds
+    values[ends[i-1]:ends[i]]. Layers are addressed 1-based to match the
+    indices carried by selection tuples.
 
     Layers 1..len(layer_mins) are placed: each holds exactly its rank slice
     of the values, and layer_mins and layer_maxs, lists that grow as layers
     are placed, hold their extremes, so layer_mins[0] is the heap's min. The
     values past the last placed layer lie in spans still to be split, held
-    on a stack with the front-most last; place(i) splits them. hi is the
-    heap's greatest value. A heap made over given values and boundaries,
-    with no spans, is placed whole.
+    on a stack with the front-most last; a span (a, b) holds layers a+1..b,
+    values[ends[a]:ends[b]], and place(i) splits them. hi is the heap's
+    greatest value. A heap made over given values and boundaries, with no
+    spans, is placed whole.
     """
 
     def __init__(self, values, boundaries, alpha, spans=()):
         self.values = values
         self.boundaries = boundaries
         self.alpha = alpha
+        self.ends = [0, *boundaries.tolist()]
         self._starts = starts = np.zeros(len(boundaries), dtype=np.int64)
         starts[1:] = boundaries[:-1]
-        # (lo, hi, c0, c1): _cuts[c0:c1] are the boundaries strictly inside [lo, hi)
         self._spans = list(spans)
-        self._cuts = boundaries[:-1].tolist() if spans else []
         if spans:
             self.layer_mins: list = []
             self.layer_maxs: list = []
             # the back-most span holds the greatest value, or NaN if any
-            self.hi = values[spans[0][0] :].max().item()
+            self.hi = values[self.ends[spans[0][0]] :].max().item()
         else:
             self.layer_mins = np.minimum.reduceat(values, starts).tolist()
             self.layer_maxs = np.maximum.reduceat(values, starts).tolist()
@@ -321,35 +314,36 @@ class LayerOrderedHeap:
         """
         if len(self.layer_mins) >= i:
             return
-        work, cuts, spans = self.values, self._cuts, self._spans
+        work, ends, spans = self.values, self.ends, self._spans
         work.flags.writeable = True
         try:
             while len(self.layer_mins) < i:
-                lo, hi, c0, c1 = spans.pop()
-                if c0 < c1 and hi - lo > DENSE_SPAN * (c1 - c0):
+                a, b = spans.pop()
+                lo, hi = ends[a], ends[b]
+                if b - a > 1 and hi - lo > DENSE_SPAN * (b - a - 1):
                     mid = (lo + hi) // 2
-                    j = bisect_left(cuts, mid, c0, c1)
-                    if j == c1 or (j > c0 and mid - cuts[j - 1] < cuts[j] - mid):
+                    # the inner end nearest mid: the first at or past it, or the one before
+                    j = bisect_left(ends, mid, a + 1, b - 1)
+                    if j > a + 1 and mid - ends[j - 1] < ends[j] - mid:
                         j -= 1
-                    cut = cuts[j]
-                    work[lo:hi].partition(cut - lo)
-                    spans.append((cut, hi, j + 1, c1))
-                    spans.append((lo, cut, c0, j))
+                    work[lo:hi].partition(ends[j] - lo)
+                    spans.append((j, b))
+                    spans.append((a, j))
                     continue
-                if c0 < c1:
+                if b - a > 1:
                     work[lo:hi].sort()
-                self._record(hi, c0, c1)
+                self._record(a, b)
         finally:
             work.flags.writeable = False
 
-    def _record(self, hi: int, c0: int, c1: int) -> None:
-        """Append the extremes of layers c0+1..c1+1, a placed span ending at hi."""
-        head, starts = self.values[:hi], self._starts[c0 : c1 + 1]
+    def _record(self, a: int, b: int) -> None:
+        """Append the extremes of layers a+1..b, a placed span."""
+        head, starts = self.values[: self.ends[b]], self._starts[a:b]
         self.layer_mins += np.minimum.reduceat(head, starts).tolist()
         self.layer_maxs += np.maximum.reduceat(head, starts).tolist()
 
 
-def lohify(values, alpha=1.1) -> LayerOrderedHeap:
+def lohify(values, alpha=DEFAULT_ALPHA) -> LayerOrderedHeap:
     """Build a layer-ordered heap over values, placing only its front.
 
     The input is copied once and never written. A copy that is dense for
@@ -370,21 +364,21 @@ def lohify(values, alpha=1.1) -> LayerOrderedHeap:
     work = _coerce(values, "values").copy()
     n = len(work)
     bounds = _layer_bounds(_alpha_fraction(alpha), n)
-    if n <= DENSE_SPAN * (len(bounds) - 1):
+    layers = len(bounds)
+    if n <= DENSE_SPAN * (layers - 1):
         work.sort()
         work.flags.writeable = False
         heap = LayerOrderedHeap(work, bounds, alpha)
     else:
-        cuts = bounds[:-1].tolist()
-        front = bisect_left(cuts, math.isqrt(n))
-        spans = [(0, n, 0, len(cuts))]
-        if front < len(cuts):
-            cut = cuts[front]
-            work.partition(cut)
-            spans = [(cut, n, front + 1, len(cuts)), (0, cut, 0, front)]
+        # the front is layers 1..front, the last ending at or past isqrt(n)
+        front = int(np.searchsorted(bounds, math.isqrt(n))) + 1
+        spans = [(0, layers)]
+        if front < layers:
+            work.partition(int(bounds[front - 1]))
+            spans = [(front, layers), (0, front)]
         work.flags.writeable = False
         heap = LayerOrderedHeap(work, bounds, alpha, spans)
-        heap.place(front + 1)
+        heap.place(front)
     check_finite(heap.layer_mins[0], heap.hi, "input")
     return heap
 

@@ -3,8 +3,8 @@
 Both functions materialize the full sum multiset, sort it, and slice. They
 are deliberately independent of the layered selection code so they can serve
 as its oracle, and they refuse to run past a size cap. They hold inputs and
-k to the engine's rules: check_extremes on each input's min() and max(), and
-as_count for k.
+k to the engine's rules, as build_tree does: check_finite on each input's
+min() and max(), check_sums on the group, and as_count for k.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .errors import ResourceLimitError
-from .loh import as_count, as_value_arrays, check_extremes
+from .loh import as_count, as_value_arrays, check_finite, check_sums
 
 __all__ = ["DEFAULT_CAP", "brute_multi", "brute_pairwise"]
 
@@ -29,7 +29,10 @@ def brute_pairwise(a, b, k, cap: int = DEFAULT_CAP) -> np.ndarray:
 def brute_multi(inputs, k, cap: int = DEFAULT_CAP) -> np.ndarray:
     """The k smallest sums drawing one value from each input, sorted ascending."""
     arrays = as_value_arrays(inputs)
-    check_extremes([a.min() for a in arrays], [a.max() for a in arrays])
+    los, his = [a.min() for a in arrays], [a.max() for a in arrays]
+    for i, (lo, hi) in enumerate(zip(los, his)):
+        check_finite(lo, hi, f"input {i}")
+    check_sums(los, his)
     total = math.prod(a.size for a in arrays)
     if total > cap:
         raise ResourceLimitError(f"full product holds {total} sums, above cap {cap}")

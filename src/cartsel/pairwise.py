@@ -25,7 +25,7 @@ proposal unpriced, at min(A(u)) + max(B(v)) for (u, v+1) and
 max(A(u)) + min(B(1)) for (u+1, 1), at most the product's min as layers
 are value-ordered. Only when an unpriced tuple pops is the child asked for
 the layer, at most one past the deepest this node has expanded; the tuple
-is pushed again at its exact min, or dropped if the layer does not exist.
+is replaced at its exact min, or dropped if the layer does not exist.
 So a child emits a layer, about alpha times all its layers before it, only
 once its parent pops a product in it, never just to order a proposal. A
 proposal past a complete child's last layer is skipped.
@@ -144,23 +144,29 @@ class PairwiseState:
         """Pop one tuple; return the product size on a max pop, else 0.
 
         An unpriced tuple asks for its layer, the left child's layer u when
-        v == 1, else the right child's layer v, and is pushed again priced.
+        v == 1, else the right child's layer v. It is then replaced at the
+        top by its priced tuple in one heap operation, or popped if the layer
+        does not exist; either way it counts as one pop. Tuples are distinct,
+        so this pops in the same order as a pop and a push would.
         """
-        value, kind, u, v = t = heapq.heappop(self.heap)
+        heap, left, right = self.heap, self.left, self.right
+        value, kind, u, v = t = heap[0]
         self.tuple_pops += 1
+        if kind == UNPRICED:
+            child, i = (right, v) if v > 1 else (left, u)
+            if child.ensure(i):
+                heapq.heapreplace(heap, (left.mins[u - 1] + right.mins[v - 1], PRICED, u, v))
+            else:
+                heapq.heappop(heap)
+            return 0
+        heapq.heappop(heap)
         if kind == PRICED:
             self.expand_min(t)
             return 0
-        left, right = self.left, self.right
-        if kind == MAX:
-            size = left.layers[u - 1].size * right.layers[v - 1].size
-            self.s += size
-            self.last_max_value = value
-            return size
-        child, i = (right, v) if v > 1 else (left, u)
-        if child.ensure(i):
-            heapq.heappush(self.heap, (left.mins[u - 1] + right.mins[v - 1], PRICED, u, v))
-        return 0
+        size = left.layers[u - 1].size * right.layers[v - 1].size
+        self.s += size
+        self.last_max_value = value
+        return size
 
     def _emit(self, layer: np.ndarray, rest: np.ndarray) -> np.ndarray:
         self.layers.append(layer)

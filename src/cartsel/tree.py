@@ -31,6 +31,7 @@ import numpy as np
 
 from .errors import ConfigError, InvalidValueError
 from .loh import (
+    DEFAULT_ALPHA,
     LayerOrderedHeap,
     _alpha_fraction,
     as_count,
@@ -57,7 +58,7 @@ __all__ = [
 class TreeConfig:
     """Build and selection parameters for the whole tree."""
 
-    alpha: float | Fraction | str = 1.1
+    alpha: float | Fraction | str = DEFAULT_ALPHA
     mode: str = "standard"
 
     def __post_init__(self):
@@ -92,7 +93,7 @@ class LeafNode:
     only for a layer not yet placed, and hold at least every exposed layer.
     """
 
-    __slots__ = ("loh", "label", "layers", "mins", "maxs", "_ends")
+    __slots__ = ("loh", "label", "layers", "mins", "maxs")
 
     def __init__(self, loh: LayerOrderedHeap, label: str = "leaf"):
         self.loh = loh
@@ -100,12 +101,11 @@ class LeafNode:
         self.layers: list[np.ndarray] = []
         self.mins = loh.layer_mins
         self.maxs = loh.layer_maxs
-        self._ends = [0, *loh.boundaries.tolist()]
 
     def ensure(self, i: int) -> bool:
-        if i >= len(self._ends):
+        layers, ends = self.layers, self.loh.ends
+        if i >= len(ends):
             return False
-        layers, ends = self.layers, self._ends
         if len(self.mins) < i:
             self.loh.place(i)
         while len(layers) < i:
@@ -116,7 +116,7 @@ class LeafNode:
     @property
     def complete(self) -> bool:
         """Whether mins and maxs hold every layer: the heap is fully placed."""
-        return len(self.mins) == len(self._ends) - 1
+        return len(self.mins) == len(self.loh.ends) - 1
 
     def demand(self, count: int):
         """Expose the next layer, or return None past the last; a leaf's
@@ -125,7 +125,7 @@ class LeafNode:
 
     @property
     def exposed_values(self) -> int:
-        return self._ends[len(self.layers)]
+        return self.loh.ends[len(self.layers)]
 
 
 class InternalNode:
@@ -264,7 +264,7 @@ def _subtree(leaves, lo, hi, mode, alpha, internals):
     return node
 
 
-def select_pairwise(a, b, k, alpha=1.1) -> np.ndarray:
+def select_pairwise(a, b, k, alpha=DEFAULT_ALPHA) -> np.ndarray:
     """The k smallest values of {x + y : x in a, y in b}, in no set order.
 
     This is the two-leaf tree, with k >= 1.

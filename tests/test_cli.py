@@ -8,7 +8,14 @@ import numpy as np
 import pytest
 
 import cartsel.cli as cli
-from cartsel.errors import ConfigError, ParseError
+from cartsel.errors import (
+    ConfigError,
+    ContractError,
+    EmptyInputError,
+    InvalidValueError,
+    ParseError,
+    ResourceLimitError,
+)
 from cartsel.oracle import brute_multi
 
 
@@ -16,6 +23,18 @@ def run_cli(argv, capsys):
     code = cli.main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+class CorruptedTree:
+    """A built tree whose every answer has its last value off by one."""
+
+    def __init__(self, tree):
+        self._tree = tree
+
+    def select_k(self, k):
+        out = self._tree.select_k(k).copy()
+        out[-1] += 1
+        return out
 
 
 class TestParseKSpec:
@@ -263,18 +282,8 @@ class TestVerify:
     def test_detects_a_wrong_implementation(self, capsys, monkeypatch):
         """A corrupted selection must be caught and reported with its replay key."""
         real_build = cli.build_tree
-
-        class Corrupted:
-            def __init__(self, tree):
-                self._tree = tree
-
-            def select_k(self, k):
-                out = self._tree.select_k(k).copy()
-                out[-1] += 1
-                return out
-
         monkeypatch.setattr(
-            cli, "build_tree", lambda arrays, cfg: Corrupted(real_build(arrays, cfg))
+            cli, "build_tree", lambda arrays, cfg: CorruptedTree(real_build(arrays, cfg))
         )
         code, out, _ = run_cli(
             ["verify", "--n-max", "2", "--m-max", "2", "--trials", "1"], capsys
@@ -283,6 +292,26 @@ class TestVerify:
         assert "MISMATCH" in out
         line = next(l for l in out.splitlines() if l.startswith("MISMATCH"))
         assert "m=" in line and "n=" in line and "k=" in line and "mode=" in line
+
+    def test_failure_lines_are_exact(self, capsys, monkeypatch):
+        """Corrupting wobbly mode alone prints both kinds of failure line,
+        each as its label and the replay key's key=value pairs in order."""
+        real_build = cli.build_tree
+
+        def build(arrays, cfg):
+            tree = real_build(arrays, cfg)
+            return CorruptedTree(tree) if cfg.mode == "wobbly" else tree
+
+        monkeypatch.setattr(cli, "build_tree", build)
+        code, out, _ = run_cli(
+            ["verify", "--n-max", "1", "--m-max", "1", "--trials", "1"], capsys
+        )
+        assert code == 1
+        assert out == (
+            "cases=2 oracle_failures=1 agreement_failures=1\n"
+            "MISMATCH seed=0 m=1 n=1 trial=0 k=1 mode=wobbly\n"
+            "MODE-DISAGREEMENT seed=0 m=1 n=1 trial=0 k=1\n"
+        )
 
 
 class TestBench:
@@ -364,8 +393,72 @@ class TestBench:
         )
         assert code == 3
 
+    def test_empty_mode_list_is_usage_error(self, capsys):
+        """A mode list with no mode in it is refused, not run as a header-only CSV."""
+        code, out, err = run_cli(
+            ["bench", "--n", "4", "--m", "2", "--k", "2", "--modes", ",", "--trials", "1"],
+            capsys,
+        )
+        assert (code, out) == (2, "")
+        assert "mode" in err
+
+    @pytest.mark.parametrize("modes", ("standard,wobbly", "naive"))
+    def test_k_beyond_total_is_refused_before_any_timing(self, capsys, monkeypatch, modes):
+        """The largest k is checked against the product once, before the
+        first build or enumeration, so no trial runs at the smaller k."""
+        runs = []
+        for name in ("build_tree", "brute_multi"):
+            real = getattr(cli, name)
+            monkeypatch.setattr(cli, name, lambda *a, real=real: runs.append(a) or real(*a))
+        code, out, err = run_cli(
+            ["bench", "--n", "4", "--m", "2", "--k", "2,100", "--modes", modes, "--trials", "1"],
+            capsys,
+        )
+        assert (code, out) == (3, "")
+        assert "k=100" in err
+        assert runs == []
+
+    def test_run_bench_needs_a_k(self):
+        with pytest.raises(ConfigError):
+            cli.run_bench(4, 2, 1.1, [], ["standard"], 1, 0)
+
+
+# One invocation per kind of error; {dir} is the test's directory. No instance
+# file parses to zero arrays, so EmptyInputError comes from a reader that
+# finds none, meeting build_tree's rule for no inputs.
+EXIT_CASES = {
+    ParseError: (["select", "--input", "{dir}/bad.txt", "--k", "1"], 2),
+    OSError: (["select", "--input", "{dir}/missing.txt", "--k", "1"], 2),
+    ConfigError: (["gen", "--n", "0", "--m", "2"], 2),
+    EmptyInputError: (["select", "--input", "{dir}/ints.txt", "--k", "1"], 2),
+    InvalidValueError: (["select", "--input", "{dir}/huge.txt", "--k", "1"], 2),
+    ContractError: (["select", "--input", "{dir}/ints.txt", "--k", "5"], 3),
+    ResourceLimitError: (
+        ["bench", "--n", "64", "--m", "5", "--k", "2", "--modes", "naive",
+         "--trials", "1", "--cap", "1048576"],
+        1,
+    ),
+}
+
 
 class TestMainEntry:
+    @pytest.mark.parametrize("kind", list(EXIT_CASES), ids=lambda kind: kind.__name__)
+    def test_each_error_kind_has_its_exit_code(self, tmp_path, capsys, monkeypatch, kind):
+        """The command raises the kind, and main turns it into its code."""
+        (tmp_path / "bad.txt").write_text("1 oops\n")
+        (tmp_path / "ints.txt").write_text("1 2\n3 4\n")
+        (tmp_path / "huge.txt").write_text("1.7e308\n1.7e308\n")  # sums overflow
+        if kind is EmptyInputError:
+            monkeypatch.setattr(cli, "read_instance", lambda path: [])
+        template, code = EXIT_CASES[kind]
+        argv = [arg.format(dir=tmp_path) for arg in template]
+        args = cli.build_parser().parse_args(argv)
+        with pytest.raises(kind):
+            args.func(args)
+        got, out, err = run_cli(argv, capsys)
+        assert (got, out) == (code, "")
+        assert err.startswith("error: ")
+
     def test_no_arguments_is_usage_error(self, capsys):
         assert cli.main([]) == 2
 

@@ -18,7 +18,7 @@ from cartsel.errors import (
 from cartsel.loh import (
     LayerOrderedHeap,
     as_value_arrays,
-    check_extremes,
+    check_sums,
     layer_size_schedule,
     layer_sizes,
     linear_select,
@@ -164,22 +164,22 @@ class TestAsValueArray:
         assert all(a.dtype == np.float64 for a in arrays)
 
 
-class TestCheckExtremes:
+class TestCheckSums:
     def test_sum_overflow_rejected(self):
         """Two arrays whose worst-case sum exceeds int64 are refused up front."""
         with pytest.raises(InvalidValueError):
-            check_extremes([2**62, 2**62], [2**62, 2**62])
+            check_sums([2**62, 2**62], [2**62, 2**62])
 
     def test_float_sum_overflow_rejected(self):
         """A float group is refused when its sums can pass the largest finite
         float64, either way; numpy scalars are judged as Python numbers. A
         lone input accepts every finite float."""
         with pytest.raises(InvalidValueError):
-            check_extremes([0.0, 0.0], [1.7e308, 1.7e308])
+            check_sums([0.0, 0.0], [1.7e308, 1.7e308])
         with pytest.raises(InvalidValueError):
-            check_extremes([np.float64(-1e308)] * 4, [np.float64(0.0)] * 4)
-        check_extremes([-1e307] * 4, [1e307] * 4)
-        check_extremes([-np.finfo(np.float64).max], [np.finfo(np.float64).max])
+            check_sums([np.float64(-1e308)] * 4, [np.float64(0.0)] * 4)
+        check_sums([-1e307] * 4, [1e307] * 4)
+        check_sums([-np.finfo(np.float64).max], [np.finfo(np.float64).max])
 
 
 class TestLinearSelect:

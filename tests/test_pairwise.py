@@ -133,19 +133,29 @@ class TestProposals:
         """Every (u, v) pushed as a priced min tuple is pushed once per
         engine, on random and tie-heavy inputs, through whole trees and full
         drains. An unpriced proposal is priced when it pops, so its exact
-        push is its one priced push, not a second proposal."""
+        push, made by replacing it at the top, is its one priced push, not a
+        second proposal."""
         pushed, unpriced = [], []
 
-        def heappush(heap, item):
+        def record(heap, item):
             _, kind, u, v = item
             if kind == PRICED:
                 pushed.append((id(heap), u, v))
             elif kind == UNPRICED:
                 unpriced.append((id(heap), u, v))
+
+        def heappush(heap, item):
+            record(heap, item)
             heapq.heappush(heap, item)
 
+        def heapreplace(heap, item):
+            record(heap, item)
+            return heapq.heapreplace(heap, item)
+
         monkeypatch.setattr(
-            pairwise_mod, "heapq", SimpleNamespace(heappush=heappush, heappop=heapq.heappop)
+            pairwise_mod,
+            "heapq",
+            SimpleNamespace(heappush=heappush, heappop=heapq.heappop, heapreplace=heapreplace),
         )
         rng = np.random.default_rng(hi)
         arrays = [rng.integers(0, hi, size=n) for n in (24, 17, 30, 9)]
