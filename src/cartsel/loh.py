@@ -7,18 +7,18 @@ holds exactly one value and sizes grow geometrically with a rank alpha > 1
 through the recurrence s(1) = 1, s(i+1) = ceil(alpha * s(i)); the final
 layer is truncated so the sizes sum to n exactly.
 
-Layers are placed front first and on demand. An input that is short for its
-number of boundaries is sorted whole at build. Any other input is
-partitioned once at the first boundary at or past isqrt(n), and only that
-front is placed at build; the back waits as one unplaced span, and
-LayerOrderedHeap.place splits unplaced spans front-most first when a reader
-asks for a deeper layer. Placing is divide and conquer: a span is
-partitioned in place at the boundary nearest its middle and each side is
-split in turn, and a span holding many boundaries for its size is sorted
-whole. Each level of the recursion moves at most n values, and a value is
-moved at about log2(1/(alpha-1)) levels, so placing every layer costs
-O(n max(1, log(1/(alpha-1)))), linear in n for fixed alpha, plus the one
-front cut; a build costs O(n) however large n is.
+Layers are placed front first and on demand, by one rule. An input that is
+short for its number of boundaries has every layer as its front, which place
+sorts whole at build. Any other input is partitioned once at the first
+boundary at or past isqrt(n), and only that front is placed at build; the
+back waits as one unplaced span, and LayerOrderedHeap.place splits unplaced
+spans front-most first when a reader asks for a deeper layer. Placing is
+divide and conquer: a span is partitioned in place at the boundary nearest
+its middle and each side is split in turn, and a span holding many
+boundaries for its size is sorted whole. Each level of the recursion moves
+at most n values, and a value is moved at about log2(1/(alpha-1)) levels, so
+placing every layer costs O(n max(1, log(1/(alpha-1)))), linear in n for
+fixed alpha, plus the one front cut; a build costs O(n) however large n is.
 
 The selection primitives reorder a one-dimensional pool in place and copy
 out only the head a caller keeps, always as a new array. A built heap's
@@ -75,8 +75,12 @@ def _alpha_fraction(alpha) -> Fraction:
 
     The parse is memoized per value and type, so a config or a heap built
     again at a rank seen before does not parse it again. Refusals are not
-    memoized; an unhashable alpha is refused as not a number.
+    memoized; an unhashable alpha is refused as not a number. A Fraction
+    above 1, such as a tree's parsed rank, comes back as itself: hashing a
+    Fraction costs a pow(), and a build would pay it for every input.
     """
+    if type(alpha) is Fraction and alpha > 1:
+        return alpha
     try:
         hash(alpha)
     except TypeError:
@@ -138,9 +142,9 @@ def layer_sizes(alpha, n) -> list[int]:
 
 
 @functools.lru_cache(maxsize=64)
-def _layer_bounds(alpha: Fraction, n: int) -> np.ndarray:
-    """Read-only layer ends for n values at rank alpha, shared by their heaps."""
-    bounds = np.array(list(itertools.accumulate(layer_sizes(alpha, n))), dtype=np.int64)
+def _layer_bounds(num: int, den: int, n: int) -> np.ndarray:
+    """Read-only layer ends for n values at rank num/den, shared by their heaps."""
+    bounds = np.array(list(itertools.accumulate(layer_sizes(Fraction(num, den), n))), dtype=np.int64)
     bounds.flags.writeable = False
     return bounds
 
@@ -223,8 +227,8 @@ def linear_select(pool, k) -> tuple[np.ndarray, np.ndarray]:
     in no set order. One ndarray.partition call at k - 1 reorders the pool
     itself (a read-only pool is copied once first): introselect, linear in
     the worst case. The head is always a new array, as callers keep it and a
-    view would pin the whole pool. The tail is a view into the pool while
-    the buffer it pins is at most twice its size, else a new array.
+    view would pin the whole pool. The tail is always a view into the pool
+    (or its one copy): a caller that keeps it decides whether to copy it.
     """
     arr = np.asarray(pool)
     if arr.ndim != 1:
@@ -236,10 +240,7 @@ def linear_select(pool, k) -> tuple[np.ndarray, np.ndarray]:
     if k:
         arr.partition(k - 1)
     head = arr if copied and k == arr.size else arr[:k].copy()
-    tail = arr[k:]
-    if (arr if arr.base is None else arr.base).nbytes > 2 * tail.nbytes:
-        tail = tail.copy()
-    return head, tail
+    return head, arr[k:]
 
 
 def partition_by_value(pool, bound) -> tuple[np.ndarray, np.ndarray]:
@@ -280,9 +281,9 @@ class LayerOrderedHeap:
     are placed, hold their extremes, so layer_mins[0] is the heap's min. The
     values past the last placed layer lie in spans still to be split, held
     on a stack with the front-most last; a span (a, b) holds layers a+1..b,
-    values[ends[a]:ends[b]], and place(i) splits them. hi is the heap's
-    greatest value. A heap made over given values and boundaries, with no
-    spans, is placed whole.
+    values[ends[a]:ends[b]], and place(i) splits them. A heap made over
+    given values and boundaries, with no spans, is placed whole and takes
+    hi, its greatest value, off its last layer; lohify sets hi on its own.
     """
 
     def __init__(self, values, boundaries, alpha, spans=()):
@@ -296,8 +297,6 @@ class LayerOrderedHeap:
         if spans:
             self.layer_mins: list = []
             self.layer_maxs: list = []
-            # the back-most span holds the greatest value, or NaN if any
-            self.hi = values[self.ends[spans[0][0]] :].max().item()
         else:
             self.layer_mins = np.minimum.reduceat(values, starts).tolist()
             self.layer_maxs = np.maximum.reduceat(values, starts).tolist()
@@ -312,6 +311,7 @@ class LayerOrderedHeap:
         way costs what placing them all at once would. Placed layers never
         move, and the values are read-only again on return.
         """
+        i = as_count(i, 0, len(self.ends) - 1, "layer")
         if len(self.layer_mins) >= i:
             return
         work, ends, spans = self.values, self.ends, self._spans
@@ -332,23 +332,20 @@ class LayerOrderedHeap:
                     continue
                 if b - a > 1:
                     work[lo:hi].sort()
-                self._record(a, b)
+                # layers a+1..b are placed: record their extremes
+                head, starts = work[:hi], self._starts[a:b]
+                self.layer_mins += np.minimum.reduceat(head, starts).tolist()
+                self.layer_maxs += np.maximum.reduceat(head, starts).tolist()
         finally:
             work.flags.writeable = False
-
-    def _record(self, a: int, b: int) -> None:
-        """Append the extremes of layers a+1..b, a placed span."""
-        head, starts = self.values[: self.ends[b]], self._starts[a:b]
-        self.layer_mins += np.minimum.reduceat(head, starts).tolist()
-        self.layer_maxs += np.maximum.reduceat(head, starts).tolist()
 
 
 def lohify(values, alpha=DEFAULT_ALPHA) -> LayerOrderedHeap:
     """Build a layer-ordered heap over values, placing only its front.
 
-    The input is copied once and never written. A copy that is dense for
-    its layer boundaries is sorted whole and every layer is placed. Any
-    other copy is partitioned once at the first boundary at or past
+    The input is copied once and never written. Its front is every layer
+    when the copy is dense for its layer boundaries, so it is sorted whole.
+    Any other copy is partitioned once at the first boundary at or past
     isqrt(n), and the layers of that front are placed by divide and
     conquer: a span is partitioned at the boundary nearest its middle and
     both sides are split in turn, until a span holds no boundary or is dense
@@ -363,22 +360,22 @@ def lohify(values, alpha=DEFAULT_ALPHA) -> LayerOrderedHeap:
     """
     work = _coerce(values, "values").copy()
     n = len(work)
-    bounds = _layer_bounds(_alpha_fraction(alpha), n)
+    frac = _alpha_fraction(alpha)
+    bounds = _layer_bounds(frac.numerator, frac.denominator, n)
     layers = len(bounds)
-    if n <= DENSE_SPAN * (layers - 1):
-        work.sort()
-        work.flags.writeable = False
-        heap = LayerOrderedHeap(work, bounds, alpha)
-    else:
-        # the front is layers 1..front, the last ending at or past isqrt(n)
+    # the front is layers 1..front: all of a dense copy, which place sorts
+    # whole, else up to the first ending at or past isqrt(n)
+    front = layers
+    if n > DENSE_SPAN * (layers - 1):
         front = int(np.searchsorted(bounds, math.isqrt(n))) + 1
-        spans = [(0, layers)]
-        if front < layers:
-            work.partition(int(bounds[front - 1]))
-            spans = [(front, layers), (0, front)]
-        work.flags.writeable = False
-        heap = LayerOrderedHeap(work, bounds, alpha, spans)
-        heap.place(front)
+    spans = [(0, layers)]
+    if front < layers:
+        work.partition(int(bounds[front - 1]))
+        spans = [(front, layers), (0, front)]
+    heap = LayerOrderedHeap(work, bounds, alpha, spans)
+    heap.place(front)  # which leaves the values read-only
+    # the greatest value, NaN if any, lies in the last layer or the unplaced back
+    heap.hi = heap.layer_maxs[-1] if front == layers else work[heap.ends[front] :].max().item()
     check_finite(heap.layer_mins[0], heap.hi, "input")
     return heap
 

@@ -1,10 +1,15 @@
-"""Pairwise k-smallest-sums selection over two layer-ordered value streams.
+"""The internal node of the selection tree: k smallest pairwise sums of two
+layer-ordered value streams, emitted as a layer-ordered stream of its own.
 
-Each stream is a tree node: a leaf over one input's layer-ordered heap, or an
-internal node emitting its own. Both offer the same fields: layers (a list of
-arrays), mins and maxs (Python scalars), layer i at index i-1, ensure(i),
-which exposes layers 1..i and reports whether layer i exists, and complete,
-true once mins holds every layer the node will ever have.
+A PairwiseState is one internal node; each child is a leaf over one input's
+heap or another PairwiseState. Both kinds offer layers (a list of arrays),
+mins and maxs (Python scalars), layer i at index i-1; ensure(i), which
+exposes layers 1..i and reports whether layer i exists; complete, true once
+mins holds every layer the node will ever have; and
+generate_next_layer(target), the next layer or None past the last. A parent
+drives a node through ensure, sized by the node's own schedule 1,
+ceil(alpha), ...; the root is driven by select_k through
+generate_next_layer, with the whole outstanding demand as target.
 
 The engine works on layer products A(u) + B(v): the multiset of sums of one
 value from layer u of the left stream and one from layer v of the right.
@@ -47,9 +52,9 @@ enough values are certified: standard mode takes exactly the requested count
 with a linear select, wobbly mode takes every carry value at or below the
 certifying bound in one value partition. Both partition the buffer in place
 and copy out only the emitted layer, its max placed last and read there.
-The unemitted values form the next carry, a view into the buffer only while
-that pins at most twice their size, so no value is dropped or duplicated
-and no carry keeps a much larger pool alive.
+The unemitted values form the next carry, which _emit keeps a view into the
+buffer only while that pins at most twice its size, so no value is dropped
+or duplicated and no carry keeps a much larger pool alive.
 """
 
 from __future__ import annotations
@@ -60,7 +65,7 @@ import math
 import numpy as np
 
 from .errors import ConfigError
-from .loh import as_count, linear_select, partition_by_value
+from .loh import DEFAULT_ALPHA, as_count, layer_size_schedule, linear_select, partition_by_value
 
 __all__ = [
     "MODES",
@@ -75,24 +80,28 @@ MAX, PRICED, UNPRICED = 0, 1, 2
 
 
 class PairwiseState:
-    """Incremental engine emitting successive layers of smallest pairwise sums.
+    """One internal node, emitting successive layers of the smallest sums of
+    its children left and right.
 
-    left and right are tree nodes, read through their layers, mins and maxs
-    lists once ensure(i) has exposed layer i. mode, one of MODES, fixes how
-    every layer is emitted. Emitted layers accumulate in self.layers, with
-    their extremes in self.mins and self.maxs, the same fields a parent
-    reads, and together form a layer-ordered heap of the sum multiset.
-    carry holds the written values not yet emitted; rows maps each row with
-    expanded but unwritten products to its column run [v0, v1], written at
-    the next emission. carry_count counts the values of both.
+    mode, one of MODES, fixes how every layer is emitted, alpha the schedule
+    ensure draws sizes from, and label names the node in stats(). Emitted
+    layers accumulate in layers, mins and maxs, the fields a parent reads.
+    complete turns true once generate_next_layer has returned None, as
+    exhaustion is final. carry holds the written values not yet emitted;
+    rows maps each row with expanded but unwritten products to its column
+    run [v0, v1], written at the next emission. carry_count counts both.
+    state, the node itself, is kept only for the benchmark's tracer.
     """
 
-    def __init__(self, left, right, mode: str):
+    def __init__(self, left, right, mode: str, alpha=DEFAULT_ALPHA, label: str = "node"):
         if mode not in MODES:
             raise ConfigError(f"unknown mode {mode!r}, expected one of {MODES}")
         self.left = left
         self.right = right
         self.mode = mode
+        self.label = label
+        self.complete = False
+        self._schedule = layer_size_schedule(alpha)
         self.heap: list[tuple] = []
         self.carry = np.empty(0)
         self.rows: dict[int, list[int]] = {}
@@ -109,6 +118,17 @@ class PairwiseState:
         self.started = False
         self.values_generated = 0
         self.tuple_pops = 0
+
+    # perfbench/tracer.py walks node.state.left/.right; ROADMAP item 3,
+    # which gives the tracer per-node records to read, deletes this alias
+    state = property(lambda self: self)
+
+    def ensure(self, i: int) -> bool:
+        """Emit scheduled layers until layer i exists; False if it never will."""
+        while len(self.layers) < i:
+            if self.generate_next_layer(next(self._schedule)) is None:
+                return False
+        return True
 
     def expand_min(self, t: tuple) -> None:
         """Count the popped product into the carry and propose its successors.
@@ -169,6 +189,10 @@ class PairwiseState:
         return size
 
     def _emit(self, layer: np.ndarray, rest: np.ndarray) -> np.ndarray:
+        # rest, the next carry, is a view into the pool; a carry that would
+        # pin a buffer over twice its size is copied out instead
+        if rest.base.nbytes > 2 * rest.nbytes:
+            rest = rest.copy()
         self.layers.append(layer)
         self.mins.append(layer.min().item())
         self.maxs.append(layer[-1].item())  # the selection leaves the max last
@@ -219,6 +243,7 @@ class PairwiseState:
             while self.s < target and heap:
                 self._pop_one()
             if self.carry_count == 0:
+                self.complete = True
                 return None
             pool = self._carry_pool()
             return self._emit(*linear_select(pool, min(target, self.carry_count)))
@@ -238,6 +263,7 @@ class PairwiseState:
                 self.carry = pool
                 need = target - int(layer.size)
             elif not heap:
+                self.complete = True
                 return None
             else:
                 need = target

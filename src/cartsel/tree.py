@@ -1,18 +1,17 @@
 """Balanced selection tree computing the k smallest m-fold sums.
 
-Leaves wrap layer-ordered heaps built from the m input arrays; every internal
-node runs a pairwise engine over its two children and emits its own layer
-stream, so the root's layers enumerate the full sum multiset smallest first.
-Construction is lazy and generation is demand-driven: nothing is popped or
-generated until a selection asks the root for layers, a node only asks a
-child for a layer when a proposed product needs it, and a leaf over a large
-input places its heap's layers past a short front only when asked for them.
-Inner nodes emit layers on their own size schedule; the root, which feeds no
-parent, is asked for one layer of the whole outstanding demand in both
-modes. The final answer is a copy of the shortest root layer prefix holding
-at least k values, trimmed by a linear select only when it holds more than k
-(in standard mode it holds exactly k once a query has run); it comes back in
-no set order.
+A LeafNode exposes one input's layer-ordered heap; every internal node is a
+PairwiseState, emitting the layers of its children's sums, so the root's
+layers enumerate the sum multiset smallest first. Both kinds offer layers,
+mins, maxs, ensure, complete and generate_next_layer: a parent reads either
+child the same way, and select_k drives a leaf or an internal root through
+generate_next_layer with the whole outstanding demand, while inner nodes
+emit on their own size schedule. Nothing is generated until a selection asks
+the root for layers, a node asks a child for a layer only when a product in
+it pops, and a large leaf places layers past a short front only when asked.
+The final answer is a copy of the shortest root layer prefix holding at
+least k values, trimmed by a linear select only when it holds more than k
+(in standard mode it holds exactly k once a query has run), in no set order.
 
 TreeConfig reads the rank alpha and the mode once per tree: every leaf heap
 and node schedule gets the one parsed Fraction, and every node engine the one
@@ -37,7 +36,6 @@ from .loh import (
     as_count,
     as_value_arrays,
     check_sums,
-    layer_size_schedule,
     linear_select,
     lohify,
 )
@@ -45,7 +43,6 @@ from .pairwise import MODES, PairwiseState
 
 __all__ = [
     "CartesianProductTree",
-    "InternalNode",
     "LeafNode",
     "SelectionStats",
     "TreeConfig",
@@ -118,59 +115,14 @@ class LeafNode:
         """Whether mins and maxs hold every layer: the heap is fully placed."""
         return len(self.mins) == len(self.loh.ends) - 1
 
-    def demand(self, count: int):
+    def generate_next_layer(self, target):
         """Expose the next layer, or return None past the last; a leaf's
-        layer sizes are fixed, so the demanded count is not used."""
+        layer sizes are fixed, so the target is not used."""
         return self.layers[-1] if self.ensure(len(self.layers) + 1) else None
 
     @property
     def exposed_values(self) -> int:
         return self.loh.ends[len(self.layers)]
-
-
-class InternalNode:
-    """Pairwise engine over two children plus this node's own layer schedule.
-
-    layers, mins and maxs are the engine's emitted lists. The layer size
-    schedule restarts at 1 in every node. In standard mode the node emits
-    exactly the requested sizes until the product runs out; in wobbly mode
-    each emission is a value partition of at least the requested size.
-    Parents drive nodes through ensure (scheduled sizes); the root is driven
-    by select_k, which in both modes requests the outstanding demand
-    directly through demand().
-    """
-
-    __slots__ = ("state", "label", "layers", "mins", "maxs", "complete", "_schedule")
-
-    def __init__(self, left, right, mode: str, alpha: Fraction, label: str = "node"):
-        self.state = PairwiseState(left, right, mode)
-        self.label = label
-        self.layers = self.state.layers
-        self.mins = self.state.mins
-        self.maxs = self.state.maxs
-        self.complete = False  # set once the product runs out
-        self._schedule = layer_size_schedule(alpha)
-
-    def ensure(self, i: int) -> bool:
-        # exhaustion is final, so a size drawn for a layer that never comes is
-        # never needed again
-        while len(self.layers) < i:
-            if self.state.generate_next_layer(next(self._schedule)) is None:
-                self.complete = True
-                return False
-        return True
-
-    def demand(self, count: int):
-        """Emit one layer sized by caller demand instead of the schedule.
-
-        Only the root is driven this way: with no parent consuming a layer
-        stream, the next layer the root needs is simply the whole outstanding
-        request. Standard mode then makes one certified selection of exactly
-        that many values; wobbly mode returns every generated value under one
-        certified bound. Returns the layer, or None once the product is
-        exhausted.
-        """
-        return self.state.generate_next_layer(count)
 
 
 class CartesianProductTree:
@@ -200,7 +152,7 @@ class CartesianProductTree:
                 cum += layers[j].size
                 j += 1
                 continue
-            if root.demand(k - cum) is None:
+            if root.generate_next_layer(k - cum) is None:
                 break  # product exhausted; cum == total >= k already
         pool = layers[0] if j == 1 else np.concatenate(layers[:j])
         self.root_pool_size = cum
@@ -212,8 +164,8 @@ class CartesianProductTree:
     def stats(self) -> SelectionStats:
         snap = SelectionStats()
         for node in self.internals:
-            snap.values_generated += node.state.values_generated
-            snap.tuple_pops += node.state.tuple_pops
+            snap.values_generated += node.values_generated
+            snap.tuple_pops += node.tuple_pops
             snap.layers_emitted[node.label] = len(node.layers)
         for leaf in self.leaves:
             snap.leaf_layers_exposed[leaf.label] = len(leaf.layers)
@@ -242,7 +194,7 @@ def build_tree(inputs, config: TreeConfig | None = None) -> CartesianProductTree
             raise InvalidValueError(f"input {i} contains NaN or infinite values") from None
         leaves.append(LeafNode(heap, label=f"leaf{i}"))
     check_sums([leaf.mins[0] for leaf in leaves], [leaf.loh.hi for leaf in leaves])
-    internals: list[InternalNode] = []
+    internals: list[PairwiseState] = []
     root = _subtree(leaves, 0, len(leaves), cfg.mode, alpha, internals)
     return CartesianProductTree(root, leaves, internals, arrays[0].dtype)
 
@@ -259,7 +211,7 @@ def _subtree(leaves, lo, hi, mode, alpha, internals):
     mid = lo + (hi - lo + 1) // 2
     left = _subtree(leaves, lo, mid, mode, alpha, internals)
     right = _subtree(leaves, mid, hi, mode, alpha, internals)
-    node = InternalNode(left, right, mode, alpha, label=f"node{len(internals)}")
+    node = PairwiseState(left, right, mode, alpha, label=f"node{len(internals)}")
     internals.append(node)
     return node
 

@@ -27,7 +27,7 @@ from cartsel.loh import (
     verify_loh,
 )
 from cartsel.tree import build_tree
-from conftest import NON_FINITE, assert_layers_are_rank_slices, buffer_nbytes
+from conftest import NON_FINITE, assert_layers_are_rank_slices
 
 ALPHAS = (1.05, 1.1, 2, 4, Fraction(11, 10), "1.1")
 # Extreme and coarse ranks too: 5000 values make 100 layers at 1.001 and at
@@ -88,7 +88,9 @@ class TestLayerSizeSchedule:
         assert layer_sizes(1.1, np.int64(3)) == [1, 2]
 
     @pytest.mark.parametrize(
-        "alpha", (1, 1.0, 0.5, 0, -2, "abc", float("inf"), float("nan"), [1.5], np.array([1.5]))
+        "alpha",
+        (1, 1.0, 0.5, 0, -2, "abc", float("inf"), float("nan"), [1.5], np.array([1.5]),
+         Fraction(1), Fraction(1, 2)),
     )
     def test_bad_alpha_rejected(self, alpha):
         with pytest.raises(ConfigError):
@@ -271,14 +273,15 @@ class TestLinearSelect:
     @pytest.mark.parametrize("read_only", (False, True))
     def test_whole_pool_head_is_a_new_array(self, read_only):
         """At k = pool size the head is a copy, never the pool itself, and the
-        empty tail is a new array that pins no memory of the pool."""
+        tail is an empty view, into the pool or, for a read-only pool, into
+        its one copy."""
         pool = np.array([5, 1, 4, 2, 3], dtype=np.int64)
         pool.flags.writeable = not read_only
         head, tail = linear_select(pool, pool.size)
         assert head is not pool and not np.shares_memory(head, pool)
         np.testing.assert_array_equal(np.sort(head), [1, 2, 3, 4, 5])
-        assert tail.size == 0 and tail.base is None and tail.dtype == pool.dtype
-        assert not np.shares_memory(tail, pool)
+        assert tail.size == 0 and tail.base is not None and tail.dtype == pool.dtype
+        assert (tail.base is pool) == (not read_only)
         head, tail = linear_select(pool, 0)
         assert head.size == 0 and head.base is None and tail.size == pool.size
 
@@ -304,8 +307,8 @@ class TestLinearSelectContract:
     @given(POOLS, st.booleans())
     def test_every_k(self, values, read_only):
         """For every k: the multiset is kept, the head is a new array whose
-        last value is its max, the tail is a view exactly while the buffer it
-        pins is at most twice its bytes, and a read-only pool is untouched."""
+        last value is its max, the tail is always a view, into the pool or
+        into the one copy of a read-only pool, which is left untouched."""
         ref = np.sort(values)
         for k in range(values.size + 1):
             pool = values.copy()
@@ -316,20 +319,18 @@ class TestLinearSelectContract:
             assert head.base is None and not np.shares_memory(head, pool)
             if k:
                 assert head[-1] == head.max()
-            # a view would pin the pool, or its private copy, whole
-            assert (tail.base is not None) == (pool.nbytes <= 2 * tail.nbytes)
-            assert buffer_nbytes(tail) <= 2 * tail.nbytes
+            assert tail.base is not None
             if read_only:
                 np.testing.assert_array_equal(pool, values)
                 assert not np.shares_memory(tail, pool)
-            elif tail.base is not None:
+            else:
                 assert tail.base is pool
 
     @pytest.mark.parametrize("read_only", (False, True))
     def test_pool_is_copied_at_most_once(self, read_only):
         """A read-only pool is copied once and a writable one not at all:
-        beyond that copy a selection allocates only the head and a tail
-        that may not stay a view."""
+        beyond that copy a selection allocates only the head, as the tail is
+        a view."""
         n = 1 << 16
         values = np.random.default_rng(19).integers(0, 1 << 20, size=n)
         for k in (0, 1, n // 3, n // 2 + 1, n - 1, n):
@@ -342,10 +343,9 @@ class TestLinearSelectContract:
             finally:
                 tracemalloc.stop()
             copies = pool.nbytes if read_only else 0
-            made = [a.nbytes for a in (head, tail) if a.base is None]
-            if read_only and k == n:
-                made.remove(head.nbytes)  # the head is the one copy
-            assert peak <= copies + sum(made) + 4096, k
+            # at k = n a read-only pool's one copy is the head itself
+            made = 0 if read_only and k == n else head.nbytes
+            assert peak <= copies + made + 4096, k
 
 
 class TestPartitionByValue:
@@ -369,9 +369,9 @@ class TestPartitionByValue:
 
     def test_partitions_in_place(self):
         """Every value equal to the bound lands in the head; the pool is
-        reordered in place, with the head's max last. A 3-value tail would
-        pin the 8-value pool, so it is a copy; a 5-value tail of the same
-        pool stays a view into it."""
+        reordered in place, with the head's max last. The tail is a view into
+        the pool however small it is; the carry's keeper decides whether to
+        copy it."""
         pool = np.array([3, 2, 5, 2, 1, 2, 4, 2], dtype=np.int64)
         head, tail = partition_by_value(pool, 2)
         np.testing.assert_array_equal(np.sort(head), [1, 2, 2, 2, 2])
@@ -379,7 +379,7 @@ class TestPartitionByValue:
         np.testing.assert_array_equal(pool[:5], head)
         np.testing.assert_array_equal(pool[5:], tail)
         assert head[-1] == 2 and head.base is None
-        assert tail.base is None and not np.shares_memory(tail, pool)
+        assert tail.base is pool
         pool = np.array([3, 2, 5, 2, 1, 6, 4, 7], dtype=np.int64)
         head, tail = partition_by_value(pool, 2)
         np.testing.assert_array_equal(np.sort(head), [1, 2, 2])
@@ -498,6 +498,21 @@ class TestLohify:
         h2.place(h2.boundaries.size)
         np.testing.assert_array_equal(h1.values, h2.values)
         np.testing.assert_array_equal(h1.boundaries, h2.boundaries)
+
+    def test_place_refuses_a_layer_out_of_range(self):
+        """place takes layers 0 through the last and refuses one past it with
+        a typed error, not a bare IndexError from the span stack."""
+        heap = lohify(np.arange(10**4))
+        last = heap.boundaries.size
+        heap.place(0)
+        assert len(heap.layer_mins) < last
+        heap.place(last)
+        assert len(heap.layer_mins) == last
+        for i in (last + 1, 10**6, -1):
+            with pytest.raises(ContractError, match="layer"):
+                heap.place(i)
+        with pytest.raises(ContractError, match="layer"):
+            lohify(np.arange(10**4)).place(10**6)
 
     def test_values_are_read_only(self):
         """In-place selections over a heap's values copy them instead."""

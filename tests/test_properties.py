@@ -171,5 +171,5 @@ def test_every_node_stays_within_the_work_bound_at_any_rank(case):
     arrays, alpha, k = case
     tree = build_tree(arrays, TreeConfig(alpha=alpha))
     np.testing.assert_array_equal(np.sort(tree.select_k(k)), k_smallest_sums(arrays, k))
-    worst = max(node.state.values_generated for node in tree.internals)
+    worst = max(node.values_generated for node in tree.internals)
     assert worst <= G * float(alpha) ** 2 * k + G0

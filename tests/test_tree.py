@@ -21,10 +21,10 @@ from cartsel.errors import (
     EmptyInputError,
     InvalidValueError,
 )
-from cartsel.loh import verify_loh
+from cartsel.loh import lohify, verify_loh
 from cartsel.oracle import brute_multi
 from cartsel.pairwise import MODES, PairwiseState
-from cartsel.tree import InternalNode, LeafNode, TreeConfig, build_tree, select_pairwise
+from cartsel.tree import LeafNode, TreeConfig, build_tree, select_pairwise
 from conftest import G, G0, NON_FINITE, buffer_nbytes as _buffer_nbytes, k_smallest_sums
 
 
@@ -394,9 +394,9 @@ class TestLaziness:
         for k in (1, 100, 5000):
             tree.select_k(k)
             for node in tree.internals:
-                reached = deepest[id(node.state)]
-                for child, index in zip((node.state.left, node.state.right), reached):
-                    if isinstance(child, InternalNode):
+                reached = deepest[id(node)]
+                for child, index in zip((node.left, node.right), reached):
+                    if isinstance(child, PairwiseState):
                         assert len(child.layers) <= index + 1
 
 
@@ -412,7 +412,7 @@ class TestPerNodeWork:
         arrays = [rng.integers(0, 1 << 30, size=32, dtype=np.int64) for _ in range(256)]
         tree = build_tree(arrays, TreeConfig(alpha=1.1, mode="standard"))
         assert tree.select_k(k).size == k
-        worst = max(node.state.values_generated for node in tree.internals)
+        worst = max(node.values_generated for node in tree.internals)
         assert worst <= G * 1.1 * 1.1 * k + G0
 
 
@@ -521,6 +521,8 @@ class TestMemoryPinning:
         for k in (1, 50, 3000, 2_560_000):
             answer = tree.select_k(k)
             assert _buffer_nbytes(answer) == answer.nbytes
+            for node in tree.internals:
+                assert _buffer_nbytes(node.carry) <= 2 * node.carry.nbytes
         for node in tree.internals:
             for layer in node.layers:
                 assert _buffer_nbytes(layer) == layer.nbytes
@@ -561,7 +563,7 @@ class TestMemoryPinning:
             tree = build_tree(seeded_arrays(19, 5, 8))
             tree.select_k(100)
             heap = weakref.ref(tree.leaves[0].loh)
-            state = weakref.ref(tree.root.state)
+            state = weakref.ref(tree.root)
             del tree
             assert heap() is None and state() is None
         finally:
@@ -635,6 +637,63 @@ class TestSelectionPeakMemory:
             tracemalloc.stop()
         assert answer.size == k
         assert peak <= 2 * tree.stats().values_generated * answer.itemsize + (1 << 19)
+
+
+def drain(node, target=7):
+    """The layers node gives until generate_next_layer returns None."""
+    layers = []
+    while (layer := node.generate_next_layer(target)) is not None:
+        layers.append(layer)
+    return layers
+
+
+class TestComplete:
+    """complete turns true once a node holds every layer it will ever have:
+    a leaf once its heap is placed whole, an internal node once it has
+    returned None. Both node kinds answer generate_next_layer until None."""
+
+    def test_leaf_is_complete_once_placed_whole(self):
+        dense = LeafNode(lohify(np.arange(8)[::-1]))
+        assert dense.complete  # a dense input is placed whole at build
+        values = np.arange(10**4)[::-1]
+        leaf = LeafNode(lohify(values))
+        assert not leaf.complete
+        layers = drain(leaf)
+        assert leaf.complete and len(layers) == leaf.loh.boundaries.size
+        np.testing.assert_array_equal(np.sort(np.concatenate(layers)), np.sort(values))
+        assert leaf.generate_next_layer(1) is None
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_drained_child_gets_no_proposal_past_its_last_layer(self, monkeypatch, mode):
+        """Once an inner child has returned None, and beside a dense leaf
+        placed whole at build, its parent's expand_min pushes no proposal
+        for a layer past either child's last."""
+        rng = np.random.default_rng(24)
+        a, b, c = (rng.integers(0, 50, size=n) for n in (9, 6, 8))
+        child = PairwiseState(LeafNode(lohify(a)), LeafNode(lohify(b)), mode)
+        leaf = LeafNode(lohify(c))
+        parent = PairwiseState(child, leaf, mode)
+        assert not child.complete and leaf.complete
+        layers = drain(child)
+        assert child.complete and child.generate_next_layer(1) is None
+        np.testing.assert_array_equal(
+            np.sort(np.concatenate(layers)), np.sort(np.add.outer(a, b), axis=None)
+        )
+        expand = PairwiseState.expand_min
+        reached = []
+
+        def expand_min(state, t):
+            expand(state, t)
+            reached.extend((u, v) for _, _, u, v in state.heap)
+
+        monkeypatch.setattr(PairwiseState, "expand_min", expand_min)
+        assert not parent.complete
+        layers = drain(parent)
+        assert parent.complete and parent.generate_next_layer(1) is None
+        total = np.add.outer(np.add.outer(a, b), c)
+        np.testing.assert_array_equal(np.sort(np.concatenate(layers)), np.sort(total, axis=None))
+        assert max(u for u, _ in reached) == len(child.layers)
+        assert max(v for _, v in reached) == len(leaf.layers) == len(leaf.mins)
 
 
 class TestNodeEnsureLayer:
