@@ -9,8 +9,10 @@ layer is truncated so the sizes sum to n exactly.
 
 Layers are placed front first and on demand, by one rule. An input that is
 short for its number of boundaries has every layer as its front, which place
-sorts whole at build. Any other input is partitioned once at the first
-boundary at or past isqrt(n), and only that front is placed at build; the
+sorts whole at build. Any other input has its front, the layers through the
+first boundary at or past isqrt(n), cut off the back and placed at build.
+The cut takes a threshold from a strided sample, moves the values at or
+below it to the start in one comparison pass and partitions only those; the
 back waits as one unplaced span, and LayerOrderedHeap.place splits unplaced
 spans front-most first when a reader asks for a deeper layer. Placing is
 divide and conquer: a span is partitioned in place at the boundary nearest
@@ -22,7 +24,9 @@ fixed alpha, plus the one front cut; a build costs O(n) however large n is.
 
 The selection primitives reorder a one-dimensional pool in place and copy
 out only the head a caller keeps, always as a new array. A built heap's
-values are read-only, so a selection over them copies them first.
+values are read-only, so a selection over them copies them first. Where
+numpy cannot allocate an array sized by an input, a carry or k, the caller
+gets a ResourceLimitError naming its values and bytes (_out_of_memory).
 
 Outside inputs have one rule each: as_value_arrays coerces a group of inputs
 to one numeric profile without reading their values, the values are judged
@@ -50,6 +54,7 @@ from .errors import (
     ContractError,
     EmptyInputError,
     InvalidValueError,
+    ResourceLimitError,
 )
 
 __all__ = [
@@ -208,6 +213,12 @@ def check_sums(los, his) -> None:
         raise InvalidValueError(f"sums of {m} values in [{lo}, {hi}] could leave [{bottom}, {top}]")
 
 
+def _out_of_memory(count: int, dtype, what: str) -> ResourceLimitError:
+    """The typed error for an allocation of count values of dtype that failed."""
+    nbytes = count * np.dtype(dtype).itemsize
+    return ResourceLimitError(f"out of memory for {what}: {count} values, {nbytes} bytes")
+
+
 def as_count(value, lo, hi, name) -> int:
     """value as an exact Python int in [lo, hi]; name only labels the error."""
     try:
@@ -235,11 +246,14 @@ def linear_select(pool, k) -> tuple[np.ndarray, np.ndarray]:
         raise ContractError(f"pool must be one-dimensional, got shape {arr.shape}")
     k = as_count(k, 0, arr.size, "k")
     copied = not arr.flags.writeable
-    if copied:
-        arr = arr.copy()
-    if k:
-        arr.partition(k - 1)
-    head = arr if copied and k == arr.size else arr[:k].copy()
+    try:
+        if copied:
+            arr = arr.copy()
+        if k:
+            arr.partition(k - 1)
+        head = arr if copied and k == arr.size else arr[:k].copy()
+    except MemoryError:
+        raise _out_of_memory(k + arr.size * copied, arr.dtype, "a selection's copies") from None
     return head, arr[k:]
 
 
@@ -340,16 +354,53 @@ class LayerOrderedHeap:
             work.flags.writeable = False
 
 
+# A large input's front is cut below a threshold tau, the sample's
+# (2 * cut * s / n + SAMPLE_MARGIN)-th smallest of s >= SAMPLE values read at
+# a stride: about twice the front's share plus a margin for sampling noise.
+# Gathering over max(SAMPLE, n / GATHER_SHARE) values at or below tau, as
+# heavy ties can make them, would cost more than cutting the whole input.
+SAMPLE = 4096
+SAMPLE_MARGIN = 8
+GATHER_SHARE = 16
+
+
+def _cut_front(work: np.ndarray, cut: int) -> None:
+    """Partition work in place so that its cut smallest values come first.
+
+    The c values <= tau are gathered into work[:c] by swapping each one past
+    c with a value > tau before c (min(c, n - c) swaps at most), and only
+    work[:c] is partitioned; all of work is, when c is under cut (0 for a
+    NaN tau) or too large. NaN and +inf are never <= a finite tau.
+    """
+    n = work.size
+    sample = work[:: max(1, n // SAMPLE)]
+    rank = min(sample.size - 1, 2 * cut * sample.size // n + SAMPLE_MARGIN)
+    tau = np.partition(sample, rank)[rank]  # on a copy: work keeps its order
+    try:
+        mask = work <= tau
+    except MemoryError:
+        raise _out_of_memory(n, np.bool_, "a front mask") from None
+    c = int(np.count_nonzero(mask))
+    if not cut <= c <= max(SAMPLE, n // GATHER_SHARE):
+        c = n
+    else:
+        back, late = work[c:], np.flatnonzero(mask[c:])
+        early = np.flatnonzero(np.logical_not(mask[:c], out=mask[:c]))  # no second mask
+        work[early], back[late] = back[late], work[early]
+    work[:c].partition(cut - 1)
+
+
 def lohify(values, alpha=DEFAULT_ALPHA) -> LayerOrderedHeap:
     """Build a layer-ordered heap over values, placing only its front.
 
     The input is copied once and never written. Its front is every layer
     when the copy is dense for its layer boundaries, so it is sorted whole.
-    Any other copy is partitioned once at the first boundary at or past
-    isqrt(n), and the layers of that front are placed by divide and
-    conquer: a span is partitioned at the boundary nearest its middle and
-    both sides are split in turn, until a span holds no boundary or is dense
-    enough to sort whole. The back stays one unplaced span until place()
+    Any other copy has the front through the first boundary at or past
+    isqrt(n) cut from it by _cut_front, which partitions only the values
+    at or below a sampled threshold, and the layers of that front are
+    placed by divide and conquer: a span is partitioned at the boundary
+    nearest its middle and both sides are split in turn, until a span holds
+    no boundary or is dense enough to sort whole. The back stays one unplaced span until place()
     asks for its layers. Each level of the recursion moves at most
     len(values) elements, so placing every layer costs
     O(n max(1, log(1/(alpha-1)))). The values end up read-only.
@@ -358,7 +409,11 @@ def lohify(values, alpha=DEFAULT_ALPHA) -> LayerOrderedHeap:
     last and -inf first, so check_finite finds them in the first layer's
     min and in hi, the max of the back (or of the last layer) taken at build.
     """
-    work = _coerce(values, "values").copy()
+    arr = _coerce(values, "values")
+    try:
+        work = arr.copy()
+    except MemoryError:
+        raise _out_of_memory(arr.size, arr.dtype, "a heap's working copy") from None
     n = len(work)
     frac = _alpha_fraction(alpha)
     bounds = _layer_bounds(frac.numerator, frac.denominator, n)
@@ -370,7 +425,7 @@ def lohify(values, alpha=DEFAULT_ALPHA) -> LayerOrderedHeap:
         front = int(np.searchsorted(bounds, math.isqrt(n))) + 1
     spans = [(0, layers)]
     if front < layers:
-        work.partition(int(bounds[front - 1]))
+        _cut_front(work, int(bounds[front - 1]))
         spans = [(front, layers), (0, front)]
     heap = LayerOrderedHeap(work, bounds, alpha, spans)
     heap.place(front)  # which leaves the values read-only

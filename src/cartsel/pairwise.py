@@ -66,6 +66,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .loh import DEFAULT_ALPHA, as_count, layer_size_schedule, linear_select, partition_by_value
+from .loh import _out_of_memory
 
 __all__ = [
     "MODES",
@@ -206,7 +207,10 @@ class PairwiseState:
         if not self.rows:
             return self.carry
         left, right = self.left.layers, self.right.layers
-        pool = np.empty(self.carry_count, self.carry.dtype)
+        try:
+            pool = np.empty(self.carry_count, self.carry.dtype)
+        except MemoryError:
+            raise _out_of_memory(self.carry_count, self.carry.dtype, "a carry pool") from None
         end = self.carry.size
         pool[:end] = self.carry
         for u, (v0, v1) in self.rows.items():

@@ -33,6 +33,7 @@ from .loh import (
     DEFAULT_ALPHA,
     LayerOrderedHeap,
     _alpha_fraction,
+    _out_of_memory,
     as_count,
     as_value_arrays,
     check_sums,
@@ -154,7 +155,10 @@ class CartesianProductTree:
                 continue
             if root.generate_next_layer(k - cum) is None:
                 break  # product exhausted; cum == total >= k already
-        pool = layers[0] if j == 1 else np.concatenate(layers[:j])
+        try:
+            pool = layers[0] if j == 1 else np.concatenate(layers[:j])
+        except MemoryError:
+            raise _out_of_memory(cum, self.dtype, "a root pool") from None
         self.root_pool_size = cum
         if cum == k:  # the prefix is the answer: the caller gets its own copy
             return pool.copy() if j == 1 else pool

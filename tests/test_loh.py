@@ -1,5 +1,6 @@
 """Tests for layer-ordered heap construction and linear selection."""
 
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -540,6 +541,98 @@ class TestLohify:
                 assert verify_loh(heap)
                 np.testing.assert_array_equal(np.sort(heap.values), np.sort(vals))
                 np.testing.assert_array_equal(vals, snapshot)
+
+
+def _shortest_cut_length(alpha=1.1):
+    """The shortest input lohify cuts at a front instead of sorting whole."""
+    n = 2
+    while n <= loh_mod.DENSE_SPAN * (len(layer_sizes(alpha, n)) - 1):
+        n += 1
+    return n
+
+
+def _sampled_positions(n):
+    """A mask of the positions the front cut's strided sample reads."""
+    mask = np.zeros(n, dtype=bool)
+    mask[:: max(1, n // loh_mod.SAMPLE)] = True
+    return mask
+
+
+def _front_cut_inputs(n):
+    """Finite inputs of n values that stress the sampled front cut, by name."""
+    rng = np.random.default_rng(n)
+    sampled = _sampled_positions(n)
+    undershoot = np.empty(n, dtype=np.int64)
+    # the sample holds the smallest values, so its threshold has fewer than
+    # a front's worth of values at or below it on an input of 2^16
+    undershoot[sampled] = rng.permutation(int(sampled.sum()))
+    undershoot[~sampled] = sampled.sum() + rng.permutation(int((~sampled).sum()))
+    near_edges = rng.integers(1, 1000, size=n) * rng.choice([-1, 1], size=n)
+    return {
+        "undershoot": undershoot,
+        "all equal": np.full(n, 7, dtype=np.int64),
+        "two values": rng.integers(0, 2, size=n),
+        "sorted": np.sort(rng.random(n)),
+        "reversed": np.arange(n, dtype=np.int64)[::-1].copy(),
+        "near 2^62": np.where(near_edges > 0, 2**62, -(2**62)) - near_edges,
+    }
+
+
+class TestSampledFrontCut:
+    """lohify cuts a large input's front at a threshold read off a strided
+    sample, gathering the values at or below it before one partition."""
+
+    @pytest.mark.parametrize("n", (_shortest_cut_length(), 1 << 16))
+    @pytest.mark.parametrize("name", sorted(_front_cut_inputs(64)))
+    def test_cut_keeps_the_heap_exact(self, n, name):
+        """Every layer holds its rank slice, the input is left as it was,
+        the layout is the same on every build, and the heap's min and hi are
+        the input's own."""
+        vals = _front_cut_inputs(n)[name]
+        snapshot = vals.tobytes()
+        heap = lohify(vals)
+        assert len(heap.layer_mins) < heap.boundaries.size  # a front was cut
+        assert heap.layer_mins[0] == vals.min() and heap.hi == vals.max()
+        again = lohify(vals)
+        np.testing.assert_array_equal(heap.values, again.values)
+        assert verify_loh(heap)
+        assert_layers_are_rank_slices(again, vals)
+        np.testing.assert_array_equal(heap.values, again.values)  # placed whole, alike
+        assert vals.tobytes() == snapshot
+
+    @pytest.mark.parametrize("n", (_shortest_cut_length(), 1 << 16))
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    @pytest.mark.parametrize("every", (True, False))
+    def test_non_finite_at_sampled_positions(self, n, bad, every):
+        """NaN or an infinity at every sampled position, or at one, still
+        leaves the smallest values in front, and lohify refuses the input."""
+        vals = np.random.default_rng(3).random(n)
+        sampled = np.flatnonzero(_sampled_positions(n))
+        vals[sampled if every else sampled[len(sampled) // 2]] = bad
+        cut = 2 * math.isqrt(n)
+        work = vals.copy()
+        loh_mod._cut_front(work, cut)
+        np.testing.assert_array_equal(np.sort(work[:cut]), np.sort(vals)[:cut])
+        np.testing.assert_array_equal(np.sort(work), np.sort(vals))
+        with pytest.raises(InvalidValueError):
+            lohify(vals)
+
+    @pytest.mark.parametrize("values", ("all equal", "two values"))
+    def test_no_index_array_of_the_input_size(self, values):
+        """Ties at the threshold put most of the input at or below it, so it
+        is cut whole instead of gathered: the build allocates its working
+        copy, a one-byte mask and little more, never an index array of
+        half the input."""
+        n = 1 << 20
+        vals = np.zeros(n) if values == "all equal" else np.arange(n) % 2
+        tracemalloc.start()
+        try:
+            heap = lohify(vals)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(heap.layer_mins) < heap.boundaries.size
+        assert peak < 1.25 * n * 8
 
 
 class TestVerifyLoh:

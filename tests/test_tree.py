@@ -618,6 +618,78 @@ class TestLazyLeaves:
         assert len(heap.layer_mins) == len(heap.layer_maxs) == heap.boundaries.size
         assert verify_loh(heap)
 
+    @pytest.mark.parametrize("mode", MODES)
+    def test_every_value_is_counted_in_expand_min(self, monkeypatch, mode):
+        """Over lazily placed reals, a resumed query generates values only
+        inside expand_min calls: the benchmark's traced self-check sums the
+        values_generated moved by class-level expand_min calls and refuses
+        a run whose sum differs from stats()."""
+        spanned = []
+        expand_min = PairwiseState.expand_min
+
+        def spy(node, t):
+            before = node.values_generated
+            try:
+                return expand_min(node, t)
+            finally:
+                spanned.append(node.values_generated - before)
+
+        monkeypatch.setattr(PairwiseState, "expand_min", spy)
+        rng = np.random.default_rng(29)
+        arrays = [rng.random(1 << 16) for _ in range(4)]
+        tree = build_tree(arrays, TreeConfig(mode=mode))
+        assert all(len(leaf.mins) < leaf.loh.boundaries.size for leaf in tree.leaves)
+        for k in (1 << 10, 1 << 12):
+            # the tree and the fold add reals in different orders
+            np.testing.assert_allclose(np.sort(tree.select_k(k)), k_smallest_sums(arrays, k), atol=1e-12)
+            assert sum(spanned) == tree.stats().values_generated > 0
+
+
+class TestResourceLimit:
+    def test_out_of_memory_is_a_typed_error(self, tmp_path):
+        """Under a 1.5 GB address-space cap, a query whose root pool cannot
+        be allocated raises ResourceLimitError naming its size, never
+        numpy's MemoryError; the tree is spent, so a later small query
+        raises the same error; and cartsel select exits 1. Runs in a child
+        process so the cap binds nothing else."""
+        pytest.importorskip("resource")
+        rng = np.random.default_rng(0)
+        arrays = [rng.integers(0, 1 << 30, size=256) for _ in range(5)]
+        instance = tmp_path / "instance.txt"
+        instance.write_text("\n".join(" ".join(map(str, a)) for a in arrays) + "\n")
+        script = textwrap.dedent(
+            f"""
+            import contextlib, io, resource
+            import numpy as np
+            from cartsel.cli import main
+            from cartsel.errors import ResourceLimitError
+            from cartsel.tree import build_tree
+
+            cap = 1_500_000_000
+            resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+            arrays = [np.array(line.split(), dtype=np.int64) for line in open({str(instance)!r})]
+            tree = build_tree(arrays)
+            for k in (2**28, 10):
+                try:
+                    tree.select_k(k)
+                except ResourceLimitError as exc:
+                    print(k, exc)
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main(["select", "--input", {str(instance)!r}, "--k", str(2**28)])
+            print("exit", code, err.getvalue().strip())
+            """
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+        first, second, cli = out.stdout.splitlines()
+        assert first.startswith(f"{2**28} out of memory") and "bytes" in first
+        assert second == first.replace(str(2**28), "10", 1)
+        assert cli.startswith("exit 1 error: out of memory")
+
 
 class TestSelectionPeakMemory:
     def test_large_k_holds_each_generated_value_at_most_twice(self):
