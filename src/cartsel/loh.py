@@ -7,14 +7,15 @@ holds exactly one value and sizes grow geometrically with a rank alpha > 1
 through the recurrence s(1) = 1, s(i+1) = ceil(alpha * s(i)); the final
 layer is truncated so the sizes sum to n exactly.
 
-Layers are placed front first and on demand, by one rule. An input that is
-short for its number of boundaries has every layer as its front, which place
-sorts whole at build. Any other input has its front, the layers through the
-first boundary at or past isqrt(n), cut off the back and placed at build.
-The cut takes a threshold from a strided sample, moves the values at or
-below it to the start in one comparison pass and partitions only those; the
-back waits as one unplaced span, and LayerOrderedHeap.place splits unplaced
-spans front-most first when a reader asks for a deeper layer. Placing is
+Every heap is built by lohify and has its layers placed by
+LayerOrderedHeap.place, front first and on demand, by one rule. An input
+that is short for its number of boundaries has every layer as its front,
+which place sorts whole at build. Any other input has its front, the layers
+through the first boundary at or past isqrt(n), cut off the back and placed
+at build. The cut takes a threshold from a strided sample, moves the values
+at or below it to the start in one comparison pass and partitions only
+those; the back waits as one unplaced span, which place splits front-most
+first when a reader asks for a deeper layer. Placing is
 divide and conquer: a span is partitioned in place at the boundary nearest
 its middle and each side is split in turn, and a span holding many
 boundaries for its size is sorted whole. Each level of the recursion moves
@@ -295,26 +296,20 @@ class LayerOrderedHeap:
     are placed, hold their extremes, so layer_mins[0] is the heap's min. The
     values past the last placed layer lie in spans still to be split, held
     on a stack with the front-most last; a span (a, b) holds layers a+1..b,
-    values[ends[a]:ends[b]], and place(i) splits them. A heap made over
-    given values and boundaries, with no spans, is placed whole and takes
-    hi, its greatest value, off its last layer; lohify sets hi on its own.
+    values[ends[a]:ends[b]], and place(i) splits them. Every heap is made
+    by lohify, which places its front and sets hi, its greatest value.
     """
 
-    def __init__(self, values, boundaries, alpha, spans=()):
+    def __init__(self, values, boundaries, alpha, spans):
         self.values = values
         self.boundaries = boundaries
         self.alpha = alpha
         self.ends = [0, *boundaries.tolist()]
         self._starts = starts = np.zeros(len(boundaries), dtype=np.int64)
         starts[1:] = boundaries[:-1]
-        self._spans = list(spans)
-        if spans:
-            self.layer_mins: list = []
-            self.layer_maxs: list = []
-        else:
-            self.layer_mins = np.minimum.reduceat(values, starts).tolist()
-            self.layer_maxs = np.maximum.reduceat(values, starts).tolist()
-            self.hi = self.layer_maxs[-1]
+        self._spans = spans
+        self.layer_mins: list = []
+        self.layer_maxs: list = []
 
     def place(self, i: int) -> None:
         """Place layers 1..i, i at most the number of layers.
@@ -326,8 +321,6 @@ class LayerOrderedHeap:
         move, and the values are read-only again on return.
         """
         i = as_count(i, 0, len(self.ends) - 1, "layer")
-        if len(self.layer_mins) >= i:
-            return
         work, ends, spans = self.values, self.ends, self._spans
         work.flags.writeable = True
         try:

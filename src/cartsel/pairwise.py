@@ -4,8 +4,7 @@ layer-ordered value streams, emitted as a layer-ordered stream of its own.
 A PairwiseState is one internal node; each child is a leaf over one input's
 heap or another PairwiseState. Both kinds offer layers (a list of arrays),
 mins and maxs (Python scalars), layer i at index i-1; ensure(i), which
-exposes layers 1..i and reports whether layer i exists; complete, true once
-mins holds every layer the node will ever have; and
+exposes layers 1..i and reports whether layer i exists; and
 generate_next_layer(target), the next layer or None past the last. A parent
 drives a node through ensure, sized by the node's own schedule 1,
 ceil(alpha), ...; the root is driven by select_k through
@@ -30,10 +29,10 @@ proposal unpriced, at min(A(u)) + max(B(v)) for (u, v+1) and
 max(A(u)) + min(B(1)) for (u+1, 1), at most the product's min as layers
 are value-ordered. Only when an unpriced tuple pops is the child asked for
 the layer, at most one past the deepest this node has expanded; the tuple
-is replaced at its exact min, or dropped if the layer does not exist.
-So a child emits a layer, about alpha times all its layers before it, only
-once its parent pops a product in it, never just to order a proposal. A
-proposal past a complete child's last layer is skipped.
+is replaced at its exact min, or dropped if the layer does not exist: that
+pop is the one place a node learns a child has no such layer. So a child
+emits a layer, about alpha times all its layers before it, only once its
+parent pops a product in it, never just to order a proposal.
 
 Popping a max tuple certifies that the whole product now precedes
 everything not yet generated. At equal value a max tuple pops first, as MAX
@@ -86,9 +85,9 @@ class PairwiseState:
 
     mode, one of MODES, fixes how every layer is emitted, alpha the schedule
     ensure draws sizes from, and label names the node in stats(). Emitted
-    layers accumulate in layers, mins and maxs, the fields a parent reads.
-    complete turns true once generate_next_layer has returned None, as
-    exhaustion is final. carry holds the written values not yet emitted;
+    layers accumulate in layers, mins and maxs, the fields a parent reads;
+    once generate_next_layer has returned None it returns None on every
+    call. carry holds the written values not yet emitted;
     rows maps each row with expanded but unwritten products to its column
     run [v0, v1], written at the next emission. carry_count counts both.
     state, the node itself, is kept only for the benchmark's tracer.
@@ -101,7 +100,6 @@ class PairwiseState:
         self.right = right
         self.mode = mode
         self.label = label
-        self.complete = False
         self._schedule = layer_size_schedule(alpha)
         self.heap: list[tuple] = []
         self.carry = np.empty(0)
@@ -140,8 +138,8 @@ class PairwiseState:
         (u+1, 1). It pushes the product's MAX tuple, then each proposal
         PRICED at its exact min if the child holds that layer's min, else
         UNPRICED at a lower bound: the child is asked for that layer only
-        when the tuple pops. A proposal past a complete child's last layer
-        is skipped. Nothing but this method adds to values_generated.
+        when the tuple pops, which drops it if the layer does not exist.
+        Nothing but this method adds to values_generated.
         """
         _, _, u, v = t
         left, right = self.left, self.right
@@ -153,12 +151,12 @@ class PairwiseState:
         heapq.heappush(heap, (left.maxs[u - 1] + right.maxs[v - 1], MAX, u, v))
         if v < len(right.layers) or v < len(right.mins) and right.ensure(v + 1):
             heapq.heappush(heap, (left.mins[u - 1] + right.mins[v], PRICED, u, v + 1))
-        elif not right.complete:
+        else:
             heapq.heappush(heap, (left.mins[u - 1] + right.maxs[v - 1], UNPRICED, u, v + 1))
         if v == 1:
             if u < len(left.layers) or u < len(left.mins) and left.ensure(u + 1):
                 heapq.heappush(heap, (left.mins[u] + right.mins[0], PRICED, u + 1, 1))
-            elif not left.complete:
+            else:
                 heapq.heappush(heap, (left.maxs[u - 1] + right.mins[0], UNPRICED, u + 1, 1))
 
     def _pop_one(self) -> int:
@@ -215,7 +213,11 @@ class PairwiseState:
         pool[:end] = self.carry
         for u, (v0, v1) in self.rows.items():
             a = left[u - 1]
-            b = right[v0 - 1] if v0 == v1 else np.concatenate(right[v0 - 1 : v1])
+            try:
+                b = right[v0 - 1] if v0 == v1 else np.concatenate(right[v0 - 1 : v1])
+            except MemoryError:
+                run = right[v0 - 1 : v1]
+                raise _out_of_memory(sum(r.size for r in run), run[0].dtype, "a row block") from None
             start, end = end, end + a.size * b.size
             np.add(a[:, None], b, out=pool[start:end].reshape(a.size, b.size))
         self.rows.clear()
@@ -247,7 +249,6 @@ class PairwiseState:
             while self.s < target and heap:
                 self._pop_one()
             if self.carry_count == 0:
-                self.complete = True
                 return None
             pool = self._carry_pool()
             return self._emit(*linear_select(pool, min(target, self.carry_count)))
@@ -267,7 +268,6 @@ class PairwiseState:
                 self.carry = pool
                 need = target - int(layer.size)
             elif not heap:
-                self.complete = True
                 return None
             else:
                 need = target

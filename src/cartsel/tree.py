@@ -3,12 +3,13 @@
 A LeafNode exposes one input's layer-ordered heap; every internal node is a
 PairwiseState, emitting the layers of its children's sums, so the root's
 layers enumerate the sum multiset smallest first. Both kinds offer layers,
-mins, maxs, ensure, complete and generate_next_layer: a parent reads either
-child the same way, and select_k drives a leaf or an internal root through
+mins, maxs, ensure and generate_next_layer: a parent reads either child the
+same way, and select_k drives a leaf or an internal root through
 generate_next_layer with the whole outstanding demand, while inner nodes
 emit on their own size schedule. Nothing is generated until a selection asks
 the root for layers, a node asks a child for a layer only when a product in
-it pops, and a large leaf places layers past a short front only when asked.
+it pops, and learns that the layer does not exist only then, from ensure;
+a large leaf places layers past a short front only when asked.
 The final answer is a copy of the shortest root layer prefix holding at
 least k values, trimmed by a linear select only when it holds more than k
 (in standard mode it holds exactly k once a query has run), in no set order.
@@ -110,11 +111,6 @@ class LeafNode:
             j = len(layers)
             layers.append(self.loh.values[ends[j] : ends[j + 1]])
         return True
-
-    @property
-    def complete(self) -> bool:
-        """Whether mins and maxs hold every layer: the heap is fully placed."""
-        return len(self.mins) == len(self.loh.ends) - 1
 
     def generate_next_layer(self, target):
         """Expose the next layer, or return None past the last; a leaf's

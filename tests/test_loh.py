@@ -17,7 +17,6 @@ from cartsel.errors import (
     InvalidValueError,
 )
 from cartsel.loh import (
-    LayerOrderedHeap,
     as_value_arrays,
     check_sums,
     layer_size_schedule,
@@ -637,11 +636,12 @@ class TestSampledFrontCut:
 
 class TestVerifyLoh:
     def test_rejects_unordered_layers(self):
-        """max of layer 1 above min of layer 2 fails the check."""
-        heap = lohify(np.array([1, 2, 3], dtype=np.int64))
-        broken = LayerOrderedHeap(
-            np.array([2, 1, 3], dtype=np.int64), heap.boundaries.copy(), heap.alpha
-        )
+        """max of layer 1 above min of layer 2 fails the check, even when the
+        recorded extremes are the corrupted layers' own."""
+        broken = lohify(np.array([1, 2, 3], dtype=np.int64))
+        broken.values.flags.writeable = True
+        broken.values[:] = [2, 1, 3]
+        broken.layer_mins[:], broken.layer_maxs[:] = [2, 1], [2, 3]
         assert not verify_loh(broken)
 
     def test_rejects_recorded_extremes_that_disagree(self):
@@ -654,8 +654,6 @@ class TestVerifyLoh:
         assert not verify_loh(heap)
 
     def test_rejects_wrong_boundaries(self):
-        heap = lohify(np.array([1, 2, 3], dtype=np.int64))
-        broken = LayerOrderedHeap(
-            heap.values.copy(), np.array([2, 3], dtype=np.int64), heap.alpha
-        )
+        broken = lohify(np.array([1, 2, 3], dtype=np.int64))
+        broken.boundaries = np.array([2, 3], dtype=np.int64)
         assert not verify_loh(broken)

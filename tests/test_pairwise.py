@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import cartsel.pairwise as pairwise_mod
-from cartsel.errors import ConfigError, ContractError, InvalidValueError
+from cartsel.errors import ConfigError, ContractError, InvalidValueError, ResourceLimitError
 from cartsel.loh import linear_select, lohify, partition_by_value
 from cartsel.oracle import brute_pairwise
 from cartsel.pairwise import MODES, PRICED, UNPRICED, PairwiseState
@@ -92,19 +92,28 @@ class TestExpandMin:
         assert heap_refs(state) == {(2, 3, True), (2, 4, False)}
         assert (len(state.left.layers), len(state.right.layers)) == (2, 4)
 
-    def test_proposals_past_last_layer_are_skipped(self):
-        """A child that can never supply the layer silently drops the proposal."""
-        state = make_state([1, 2, 3, 4, 5, 6], [1, 2, 3, 4, 5, 6])
-        n_layers = state.right.loh.boundaries.size
-        state.left.ensure(1)
-        state.right.ensure(n_layers)
-        state.expand_min((0, True, 1, n_layers))
-        assert heap_refs(state) == {(1, n_layers, True)}
-        state = make_state([1, 2, 3, 4, 5, 6], [1, 2, 3, 4, 5, 6])
-        state.left.ensure(n_layers)
-        state.right.ensure(1)
-        state.expand_min((0, True, n_layers, 1))
-        assert heap_refs(state) == {(n_layers, 1, True), (n_layers, 2, False)}
+    def test_proposals_past_last_layer_go_in_unpriced(self):
+        """A node learns that a child has no such layer only when the
+        proposal's tuple pops: the proposal goes in UNPRICED, and popping it
+        drops it, generates no value and asks for no layer past the last."""
+        values = [1, 2, 3, 4, 5, 6]
+        n = lohify(np.asarray(values)).boundaries.size
+        for (u, v), refs, reached in (
+            ((1, n), {(1, n, True), (1, n + 1, False)}, (1, n)),
+            ((n, 1), {(n, 1, True), (n, 2, False), (n + 1, 1, False)}, (n, 2)),
+        ):
+            state = make_state(values, values)
+            state.left.ensure(u)
+            state.right.ensure(v)
+            state.expand_min((0, PRICED, u, v))
+            assert heap_refs(state) == refs
+            past = [t for t in state.heap if max(t[2:]) > n]
+            assert [t[1] for t in past] == [UNPRICED]
+            generated = state.values_generated
+            state.heap = past
+            assert state._pop_one() == 0
+            assert state.heap == [] and state.values_generated == generated
+            assert (len(state.left.layers), len(state.right.layers)) == reached
 
     def test_generates_the_product_block(self, monkeypatch):
         """Expanding (2, 2) counts its 4 values at once; they are written into
@@ -314,6 +323,24 @@ class TestGenerateNextLayer:
         if mode == "wobbly" and hi == 4:
             retries = [p[1] > q[1] for q, p in zip(pools, pools[1:]) if p[0] == q[0]]
             assert len(pools) > len(layers) and any(retries)
+
+    def test_failed_row_block_is_a_typed_error(self, monkeypatch):
+        """A row's multi-column run is joined with np.concatenate at the
+        emission; numpy failing to allocate it raises ResourceLimitError
+        naming the run's values and bytes, not a bare MemoryError."""
+        state = make_state(range(20), range(20))
+        runs = []
+
+        def concatenate(arrays, *args, **kwargs):
+            runs.append(arrays)
+            raise MemoryError
+
+        monkeypatch.setattr(np, "concatenate", concatenate)
+        with pytest.raises(ResourceLimitError) as err:
+            state.generate_next_layer(30)
+        assert len(runs) == 1 and len(runs[0]) > 1
+        count = sum(a.size for a in runs[0])
+        assert str(err.value) == f"out of memory for a row block: {count} values, {8 * count} bytes"
 
     def test_bad_target_rejected(self):
         state = make_state([1, 2], [3, 4])

@@ -23,7 +23,7 @@ from cartsel.errors import (
 )
 from cartsel.loh import lohify, verify_loh
 from cartsel.oracle import brute_multi
-from cartsel.pairwise import MODES, PairwiseState
+from cartsel.pairwise import MODES, UNPRICED, PairwiseState
 from cartsel.tree import LeafNode, TreeConfig, build_tree, select_pairwise
 from conftest import G, G0, NON_FINITE, buffer_nbytes as _buffer_nbytes, k_smallest_sums
 
@@ -719,53 +719,53 @@ def drain(node, target=7):
     return layers
 
 
-class TestComplete:
-    """complete turns true once a node holds every layer it will ever have:
-    a leaf once its heap is placed whole, an internal node once it has
-    returned None. Both node kinds answer generate_next_layer until None."""
+class TestExhaustion:
+    """A node learns that a child has no layer i only when a tuple needing it
+    pops, and drops that tuple. Both node kinds give layers until
+    generate_next_layer returns None, and None on every call after."""
 
-    def test_leaf_is_complete_once_placed_whole(self):
-        dense = LeafNode(lohify(np.arange(8)[::-1]))
-        assert dense.complete  # a dense input is placed whole at build
-        values = np.arange(10**4)[::-1]
-        leaf = LeafNode(lohify(values))
-        assert not leaf.complete
-        layers = drain(leaf)
-        assert leaf.complete and len(layers) == leaf.loh.boundaries.size
-        np.testing.assert_array_equal(np.sort(np.concatenate(layers)), np.sort(values))
-        assert leaf.generate_next_layer(1) is None
+    def test_leaf_gives_every_layer_then_none(self):
+        for values in (np.arange(8)[::-1], np.arange(10**4)[::-1]):
+            leaf = LeafNode(lohify(values))
+            layers = drain(leaf)
+            assert len(layers) == len(leaf.mins) == leaf.loh.boundaries.size
+            np.testing.assert_array_equal(np.sort(np.concatenate(layers)), np.sort(values))
+            assert leaf.generate_next_layer(1) is None and leaf.generate_next_layer(1) is None
 
     @pytest.mark.parametrize("mode", MODES)
-    def test_drained_child_gets_no_proposal_past_its_last_layer(self, monkeypatch, mode):
-        """Once an inner child has returned None, and beside a dense leaf
-        placed whole at build, its parent's expand_min pushes no proposal
-        for a layer past either child's last."""
+    def test_drain_expands_nothing_past_a_childs_last_layer(self, monkeypatch, mode):
+        """Over an inner child that has returned None and a dense leaf,
+        placed whole at build, the parent pushes its proposals past either
+        child's last layer UNPRICED and drops them as they pop: it expands
+        every product once and none past either child's last layer."""
         rng = np.random.default_rng(24)
         a, b, c = (rng.integers(0, 50, size=n) for n in (9, 6, 8))
         child = PairwiseState(LeafNode(lohify(a)), LeafNode(lohify(b)), mode)
         leaf = LeafNode(lohify(c))
         parent = PairwiseState(child, leaf, mode)
-        assert not child.complete and leaf.complete
         layers = drain(child)
-        assert child.complete and child.generate_next_layer(1) is None
+        assert child.generate_next_layer(1) is None
         np.testing.assert_array_equal(
             np.sort(np.concatenate(layers)), np.sort(np.add.outer(a, b), axis=None)
         )
+        rows, cols = len(child.layers), leaf.loh.boundaries.size
         expand = PairwiseState.expand_min
-        reached = []
+        expanded, past = [], set()
 
         def expand_min(state, t):
+            expanded.append(t[2:])
             expand(state, t)
-            reached.extend((u, v) for _, _, u, v in state.heap)
+            past.update(e for e in state.heap if e[2] > rows or e[3] > cols)
 
         monkeypatch.setattr(PairwiseState, "expand_min", expand_min)
-        assert not parent.complete
         layers = drain(parent)
-        assert parent.complete and parent.generate_next_layer(1) is None
         total = np.add.outer(np.add.outer(a, b), c)
         np.testing.assert_array_equal(np.sort(np.concatenate(layers)), np.sort(total, axis=None))
-        assert max(u for u, _ in reached) == len(child.layers)
-        assert max(v for _, v in reached) == len(leaf.layers) == len(leaf.mins)
+        assert past and {t[1] for t in past} == {UNPRICED}
+        assert sorted(expanded) == [(u, v) for u in range(1, rows + 1) for v in range(1, cols + 1)]
+        assert (len(child.layers), len(leaf.layers)) == (rows, cols) and parent.heap == []
+        for node in (child, leaf, parent) * 2:
+            assert node.generate_next_layer(1) is None
 
 
 class TestNodeEnsureLayer:
