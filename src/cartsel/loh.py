@@ -271,7 +271,11 @@ def partition_by_value(pool, bound) -> tuple[np.ndarray, np.ndarray]:
         raise ContractError(f"bound must be numeric, got {type(bound).__name__}")
     if bad:
         raise ContractError("bound must not be NaN")
-    return linear_select(arr, np.count_nonzero(arr <= bound))
+    try:
+        mask = np.less_equal(arr, bound)
+    except MemoryError:
+        raise _out_of_memory(arr.size, np.bool_, "a value mask") from None
+    return linear_select(arr, np.count_nonzero(mask))
 
 
 # A span no longer than this many times the number of layer boundaries inside

@@ -2,12 +2,12 @@
 layer-ordered value streams, emitted as a layer-ordered stream of its own.
 
 A PairwiseState is one internal node; each child is a leaf over one input's
-heap or another PairwiseState. Both kinds offer layers (a list of arrays),
-mins and maxs (Python scalars), layer i at index i-1; ensure(i), which
-exposes layers 1..i and reports whether layer i exists; and
-generate_next_layer(target), the next layer or None past the last. A parent
-drives a node through ensure, sized by the node's own schedule 1,
-ceil(alpha), ...; the root is driven by select_k through
+heap or another PairwiseState. Both kinds offer dtype, set at construction;
+layers (a list of arrays), mins and maxs (Python scalars), layer i at index
+i-1; ensure(i), which exposes layers 1..i and reports whether layer i
+exists; and generate_next_layer(target), the next layer or None past the
+last. A parent drives a node through ensure, sized by the node's own
+schedule 1, ceil(alpha), ...; the root is driven by select_k through
 generate_next_layer, with the whole outstanding demand as target.
 
 The engine works on layer products A(u) + B(v): the multiset of sums of one
@@ -20,19 +20,19 @@ product's values into the carry, records that row u now reaches column v,
 and proposes its grid neighbours: (u, v+1), plus (u+1, 1) when v == 1.
 Every product other than (1, 1) has exactly one proposer, (u, v-1) or
 (u-1, 1), whose min is no larger than its own, so no product is proposed
-twice and none is proposed too late; the first emission seeds (1, 1).
+twice and none is proposed too late; (1, 1), which has none, is pushed at
+construction as an ordinary unpriced tuple at -inf.
 
-expand_min prices a proposal exactly when its child already holds the
-layer's min: a layer a leaf has placed (all of them, for a leaf sorted
-whole at build) or one an inner child has emitted. Otherwise it pushes the
-proposal unpriced, at min(A(u)) + max(B(v)) for (u, v+1) and
-max(A(u)) + min(B(1)) for (u+1, 1), at most the product's min as layers
-are value-ordered. Only when an unpriced tuple pops is the child asked for
-the layer, at most one past the deepest this node has expanded; the tuple
-is replaced at its exact min, or dropped if the layer does not exist: that
-pop is the one place a node learns a child has no such layer. So a child
-emits a layer, about alpha times all its layers before it, only once its
-parent pops a product in it, never just to order a proposal.
+expand_min prices a proposal exactly only when its child has already
+exposed the layer. Otherwise it pushes the proposal unpriced, at
+min(A(u)) + max(B(v)) for (u, v+1) and max(A(u)) + min(B(1)) for
+(u+1, 1), at most the product's min as layers are value-ordered. Popping
+an unpriced tuple is the one place a node calls into a child: it asks
+both children for the tuple's layers, left.ensure(u) and right.ensure(v),
+and replaces the tuple at its exact min, or drops it if a layer does not
+exist. So a child exposes no layer past the deepest index its parent has
+popped a tuple on, and emits a layer, about alpha times all its layers
+before it, only once its parent pops a product in it.
 
 Popping a max tuple certifies that the whole product now precedes
 everything not yet generated. At equal value a max tuple pops first, as MAX
@@ -84,13 +84,14 @@ class PairwiseState:
     its children left and right.
 
     mode, one of MODES, fixes how every layer is emitted, alpha the schedule
-    ensure draws sizes from, and label names the node in stats(). Emitted
-    layers accumulate in layers, mins and maxs, the fields a parent reads;
-    once generate_next_layer has returned None it returns None on every
-    call. carry holds the written values not yet emitted;
-    rows maps each row with expanded but unwritten products to its column
-    run [v0, v1], written at the next emission. carry_count counts both.
-    state, the node itself, is kept only for the benchmark's tracer.
+    ensure draws sizes from, and label names the node in stats(); dtype is
+    its children's, promoted. Emitted layers accumulate in layers, mins and
+    maxs, the fields a parent reads; once generate_next_layer has returned
+    None it returns None on every call. carry holds the written values not
+    yet emitted; rows maps each row with expanded but unwritten products to
+    its column run [v0, v1], written at the next emission. carry_count
+    counts both. state, the node itself, is kept only for the benchmark's
+    tracer.
     """
 
     def __init__(self, left, right, mode: str, alpha=DEFAULT_ALPHA, label: str = "node"):
@@ -101,8 +102,9 @@ class PairwiseState:
         self.mode = mode
         self.label = label
         self._schedule = layer_size_schedule(alpha)
-        self.heap: list[tuple] = []
-        self.carry = np.empty(0)
+        self.dtype = np.promote_types(left.dtype, right.dtype)
+        self.heap: list[tuple] = [(-math.inf, UNPRICED, 1, 1)]
+        self.carry = np.empty(0, self.dtype)
         self.rows: dict[int, list[int]] = {}
         self.carry_count = 0
         # s = (total size of max-popped products) - (total values emitted).
@@ -114,7 +116,6 @@ class PairwiseState:
         self.mins: list = []
         self.maxs: list = []
         self.last_max_value = None
-        self.started = False
         self.values_generated = 0
         self.tuple_pops = 0
 
@@ -136,10 +137,9 @@ class PairwiseState:
         u's run. The successors are the next product in the row, (u, v+1),
         and, from the first column only, the first product of the next row,
         (u+1, 1). It pushes the product's MAX tuple, then each proposal
-        PRICED at its exact min if the child holds that layer's min, else
-        UNPRICED at a lower bound: the child is asked for that layer only
-        when the tuple pops, which drops it if the layer does not exist.
-        Nothing but this method adds to values_generated.
+        PRICED at its exact min if the child has exposed that layer, else
+        UNPRICED at a lower bound; it asks no child for anything. Nothing
+        but this method adds to values_generated.
         """
         _, _, u, v = t
         left, right = self.left, self.right
@@ -149,12 +149,12 @@ class PairwiseState:
         self.values_generated += size
         heap = self.heap
         heapq.heappush(heap, (left.maxs[u - 1] + right.maxs[v - 1], MAX, u, v))
-        if v < len(right.layers) or v < len(right.mins) and right.ensure(v + 1):
+        if v < len(right.layers):
             heapq.heappush(heap, (left.mins[u - 1] + right.mins[v], PRICED, u, v + 1))
         else:
             heapq.heappush(heap, (left.mins[u - 1] + right.maxs[v - 1], UNPRICED, u, v + 1))
         if v == 1:
-            if u < len(left.layers) or u < len(left.mins) and left.ensure(u + 1):
+            if u < len(left.layers):
                 heapq.heappush(heap, (left.mins[u] + right.mins[0], PRICED, u + 1, 1))
             else:
                 heapq.heappush(heap, (left.maxs[u - 1] + right.mins[0], UNPRICED, u + 1, 1))
@@ -162,18 +162,18 @@ class PairwiseState:
     def _pop_one(self) -> int:
         """Pop one tuple; return the product size on a max pop, else 0.
 
-        An unpriced tuple asks for its layer, the left child's layer u when
-        v == 1, else the right child's layer v. It is then replaced at the
-        top by its priced tuple in one heap operation, or popped if the layer
-        does not exist; either way it counts as one pop. Tuples are distinct,
-        so this pops in the same order as a pop and a push would.
+        An unpriced tuple asks the left child for layer u and the right for
+        layer v, the only call a node makes into a child. It is then
+        replaced at the top by its priced tuple in one heap operation, or
+        popped if a layer does not exist; either way it counts as one pop.
+        Tuples are distinct, so this pops in the same order as a pop and a
+        push would.
         """
         heap, left, right = self.heap, self.left, self.right
         value, kind, u, v = t = heap[0]
         self.tuple_pops += 1
         if kind == UNPRICED:
-            child, i = (right, v) if v > 1 else (left, u)
-            if child.ensure(i):
+            if left.ensure(u) and right.ensure(v):
                 heapq.heapreplace(heap, (left.mins[u - 1] + right.mins[v - 1], PRICED, u, v))
             else:
                 heapq.heappop(heap)
@@ -201,7 +201,7 @@ class PairwiseState:
         return layer
 
     def _carry_pool(self) -> np.ndarray:
-        """Write the kept carry and every pending row into one exact buffer."""
+        """Write the kept carry and every pending row into one exact buffer, the new carry."""
         if not self.rows:
             return self.carry
         left, right = self.left.layers, self.right.layers
@@ -221,6 +221,7 @@ class PairwiseState:
             start, end = end, end + a.size * b.size
             np.add(a[:, None], b, out=pool[start:end].reshape(a.size, b.size))
         self.rows.clear()
+        self.carry = pool
         return pool
 
     def generate_next_layer(self, target):
@@ -238,13 +239,6 @@ class PairwiseState:
         """
         target = as_count(target, 1, math.inf, "layer target")
         heap = self.heap
-        if not self.started:  # the first call seeds product (1, 1)
-            self.started = True
-            left, right = self.left, self.right
-            left.ensure(1)
-            right.ensure(1)
-            self.carry = np.empty(0, np.result_type(left.layers[0].dtype, right.layers[0].dtype))
-            heapq.heappush(heap, (left.mins[0] + right.mins[0], PRICED, 1, 1))
         if self.mode == "standard":
             while self.s < target and heap:
                 self._pop_one()
@@ -263,9 +257,8 @@ class PairwiseState:
                 # an empty heap leaves every value under the bound: final layer
                 if layer.size >= target or not heap:
                     return self._emit(layer, rest)
-                # a tie band came up short: keep the pool as the carry and
-                # certify until the band holds target or the product runs out
-                self.carry = pool
+                # a tie band came up short: the pool stays the carry; certify
+                # until the band holds target or the product runs out
                 need = target - int(layer.size)
             elif not heap:
                 return None

@@ -2,14 +2,14 @@
 
 A LeafNode exposes one input's layer-ordered heap; every internal node is a
 PairwiseState, emitting the layers of its children's sums, so the root's
-layers enumerate the sum multiset smallest first. Both kinds offer layers,
-mins, maxs, ensure and generate_next_layer: a parent reads either child the
-same way, and select_k drives a leaf or an internal root through
+layers enumerate the sum multiset smallest first. Both kinds offer dtype,
+layers, mins, maxs, ensure and generate_next_layer: a parent reads either
+child the same way, and select_k drives a leaf or an internal root through
 generate_next_layer with the whole outstanding demand, while inner nodes
-emit on their own size schedule. Nothing is generated until a selection asks
-the root for layers, a node asks a child for a layer only when a product in
-it pops, and learns that the layer does not exist only then, from ensure;
-a large leaf places layers past a short front only when asked.
+emit on their own size schedule. Building touches no child: a node asks a
+child for a layer only when an unpriced tuple on it pops, learning then,
+from ensure, whether the layer exists, and a large leaf places layers past
+a short front only when asked.
 The final answer is a copy of the shortest root layer prefix holding at
 least k values, trimmed by a linear select only when it holds more than k
 (in standard mode it holds exactly k once a query has run), in no set order.
@@ -89,14 +89,16 @@ class LeafNode:
     len(layers) is how deep the parent has reached, which is what the
     laziness accounting reports. mins and maxs are the heap's own extremes
     lists: they grow as the heap places layers, which ensure asks it to do
-    only for a layer not yet placed, and hold at least every exposed layer.
+    only for a layer not yet placed, and hold at least every exposed layer;
+    dtype is the heap's.
     """
 
-    __slots__ = ("loh", "label", "layers", "mins", "maxs")
+    __slots__ = ("loh", "label", "dtype", "layers", "mins", "maxs")
 
     def __init__(self, loh: LayerOrderedHeap, label: str = "leaf"):
         self.loh = loh
         self.label = label
+        self.dtype = loh.values.dtype
         self.layers: list[np.ndarray] = []
         self.mins = loh.layer_mins
         self.maxs = loh.layer_maxs
@@ -125,11 +127,10 @@ class LeafNode:
 class CartesianProductTree:
     """Handle over the built tree: repeated selections resume prior work."""
 
-    def __init__(self, root, leaves, internals, dtype):
+    def __init__(self, root, leaves, internals):
         self.root = root
         self.leaves = leaves
         self.internals = internals
-        self.dtype = dtype
         self.total = math.prod(leaf.loh.values.size for leaf in leaves)
         # _subtree's left-heavy split fixes the height at ceil(log2 m)
         self.height = (len(leaves) - 1).bit_length()
@@ -139,7 +140,7 @@ class CartesianProductTree:
         """The k smallest m-fold sums as one array, in no set order."""
         k = as_count(k, 0, self.total, "k")
         if k == 0:
-            return np.empty(0, dtype=self.dtype)
+            return np.empty(0, dtype=self.root.dtype)
         root = self.root
         layers = root.layers
         cum = 0
@@ -154,7 +155,7 @@ class CartesianProductTree:
         try:
             pool = layers[0] if j == 1 else np.concatenate(layers[:j])
         except MemoryError:
-            raise _out_of_memory(cum, self.dtype, "a root pool") from None
+            raise _out_of_memory(cum, self.root.dtype, "a root pool") from None
         self.root_pool_size = cum
         if cum == k:  # the prefix is the answer: the caller gets its own copy
             return pool.copy() if j == 1 else pool
@@ -196,7 +197,7 @@ def build_tree(inputs, config: TreeConfig | None = None) -> CartesianProductTree
     check_sums([leaf.mins[0] for leaf in leaves], [leaf.loh.hi for leaf in leaves])
     internals: list[PairwiseState] = []
     root = _subtree(leaves, 0, len(leaves), cfg.mode, alpha, internals)
-    return CartesianProductTree(root, leaves, internals, arrays[0].dtype)
+    return CartesianProductTree(root, leaves, internals)
 
 
 def _subtree(leaves, lo, hi, mode, alpha, internals):

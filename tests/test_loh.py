@@ -15,6 +15,7 @@ from cartsel.errors import (
     ContractError,
     EmptyInputError,
     InvalidValueError,
+    ResourceLimitError,
 )
 from cartsel.loh import (
     as_value_arrays,
@@ -408,6 +409,19 @@ class TestPartitionByValue:
     def test_two_dimensional_rejected(self):
         with pytest.raises(ContractError):
             partition_by_value(np.zeros((2, 2)), 0)
+
+    def test_failed_value_mask_is_a_typed_error(self, monkeypatch):
+        """The mask of values at or below the bound is one bool per pool
+        value; numpy failing to allocate it raises ResourceLimitError naming
+        the pool's values and the mask's bytes, not a bare MemoryError."""
+
+        def less_equal(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(np, "less_equal", less_equal)
+        with pytest.raises(ResourceLimitError) as err:
+            partition_by_value(np.arange(300, dtype=np.int64), 7)
+        assert str(err.value) == "out of memory for a value mask: 300 values, 300 bytes"
 
 
 class TestLohify:

@@ -10,7 +10,7 @@ import cartsel.pairwise as pairwise_mod
 from cartsel.errors import ConfigError, ContractError, InvalidValueError, ResourceLimitError
 from cartsel.loh import linear_select, lohify, partition_by_value
 from cartsel.oracle import brute_pairwise
-from cartsel.pairwise import MODES, PRICED, UNPRICED, PairwiseState
+from cartsel.pairwise import MAX, MODES, PRICED, UNPRICED, PairwiseState
 from cartsel.tree import LeafNode, TreeConfig, build_tree, select_pairwise
 from conftest import G, G0, NON_FINITE, buffer_nbytes
 
@@ -72,25 +72,33 @@ class TestTupleOrder:
 
 class TestExpandMin:
     def test_corner_product_proposes_row_and_column(self):
-        """Expanding (1, 1) pushes its max and its two grid neighbours,
-        reaching only layer 2 of either child."""
+        """Popping the seed asks each child for layer 1 and prices (1, 1);
+        expanding it pushes its max and both grid neighbours UNPRICED, and
+        exposes no child layer."""
         state = make_state([1, 2, 3, 4, 5, 6], [1, 2, 3, 4, 5, 6])
-        state.left.ensure(1)
-        state.right.ensure(1)
-        state.expand_min((2, True, 1, 1))
+        assert state._pop_one() == 0
+        assert state.heap == [(2, PRICED, 1, 1)]
+        assert (len(state.left.layers), len(state.right.layers)) == (1, 1)
+        assert state._pop_one() == 0
         assert heap_refs(state) == {(1, 1, True), (1, 2, False), (2, 1, False)}
-        assert (len(state.left.layers), len(state.right.layers)) == (2, 2)
+        assert {t[1] for t in state.heap if t[1] != MAX} == {UNPRICED}
+        assert (len(state.left.layers), len(state.right.layers)) == (1, 1)
 
     def test_interior_product_proposes_only_the_next_column(self):
-        """Expanding (2, 3) proposes (2, 4) and no new row; the right child
-        is asked for layer 4 and no further."""
+        """Expanding (2, 3) proposes (2, 4) and no new row, asking the right
+        child for nothing: the proposal goes in UNPRICED while layer 4 is
+        unexposed, and PRICED at its exact min once it is exposed."""
         n28 = list(range(28))
-        state = make_state(n28, n28)
-        state.left.ensure(2)
-        state.right.ensure(3)
-        state.expand_min((0, True, 2, 3))
-        assert heap_refs(state) == {(2, 3, True), (2, 4, False)}
-        assert (len(state.left.layers), len(state.right.layers)) == (2, 4)
+        for exposed, kind in ((3, UNPRICED), (4, PRICED)):
+            state = make_state(n28, n28)
+            state.heap.clear()
+            state.left.ensure(2)
+            state.right.ensure(exposed)
+            state.expand_min((0, PRICED, 2, 3))
+            assert heap_refs(state) == {(2, 3, True), (2, 4, False)}
+            assert [t[1] for t in state.heap if t[1] != MAX] == [kind]
+            assert (len(state.left.layers), len(state.right.layers)) == (2, exposed)
+        assert (state.left.mins[1] + state.right.mins[3], PRICED, 2, 4) in state.heap
 
     def test_proposals_past_last_layer_go_in_unpriced(self):
         """A node learns that a child has no such layer only when the
@@ -98,22 +106,24 @@ class TestExpandMin:
         drops it, generates no value and asks for no layer past the last."""
         values = [1, 2, 3, 4, 5, 6]
         n = lohify(np.asarray(values)).boundaries.size
-        for (u, v), refs, reached in (
-            ((1, n), {(1, n, True), (1, n + 1, False)}, (1, n)),
-            ((n, 1), {(n, 1, True), (n, 2, False), (n + 1, 1, False)}, (n, 2)),
+        for (u, v), refs in (
+            ((1, n), {(1, n, True), (1, n + 1, False)}),
+            ((n, 1), {(n, 1, True), (n, 2, False), (n + 1, 1, False)}),
         ):
             state = make_state(values, values)
+            state.heap.clear()
             state.left.ensure(u)
             state.right.ensure(v)
             state.expand_min((0, PRICED, u, v))
             assert heap_refs(state) == refs
+            assert {t[1] for t in state.heap if t[1] != MAX} == {UNPRICED}
             past = [t for t in state.heap if max(t[2:]) > n]
-            assert [t[1] for t in past] == [UNPRICED]
+            assert len(past) == 1
             generated = state.values_generated
             state.heap = past
             assert state._pop_one() == 0
             assert state.heap == [] and state.values_generated == generated
-            assert (len(state.left.layers), len(state.right.layers)) == reached
+            assert (len(state.left.layers), len(state.right.layers)) == (u, v)
 
     def test_generates_the_product_block(self, monkeypatch):
         """Expanding (2, 2) counts its 4 values at once; they are written into
@@ -341,6 +351,28 @@ class TestGenerateNextLayer:
         assert len(runs) == 1 and len(runs[0]) > 1
         count = sum(a.size for a in runs[0])
         assert str(err.value) == f"out of memory for a row block: {count} values, {8 * count} bytes"
+
+    def test_failed_value_mask_loses_no_value(self, monkeypatch):
+        """A wobbly emission whose value mask cannot be allocated raises
+        ResourceLimitError after the pending rows are written; the written
+        pool is kept as the carry, so once memory is back the node drains
+        to exactly its product."""
+        a, b = np.arange(20), np.arange(0, 40, 2)
+        state = make_state(a, b, mode="wobbly")
+        less_equal = np.less_equal
+
+        def fail_once(*args, **kwargs):
+            monkeypatch.setattr(np, "less_equal", less_equal)
+            raise MemoryError
+
+        monkeypatch.setattr(np, "less_equal", fail_once)
+        with pytest.raises(ResourceLimitError, match="a value mask"):
+            state.generate_next_layer(30)
+        assert state.carry.size == state.carry_count > 0
+        layers = drain(state, [30] * 400)
+        np.testing.assert_array_equal(
+            np.sort(np.concatenate(layers)), brute_pairwise(a, b, a.size * b.size)
+        )
 
     def test_bad_target_rejected(self):
         state = make_state([1, 2], [3, 4])

@@ -57,6 +57,16 @@ class TestBuildTree:
         assert all(v == 0 for v in snap.layers_emitted.values())
         assert all(v == 0 for v in snap.leaf_layers_exposed.values())
 
+    def test_construction_touches_no_child(self):
+        """Every node starts with product (1, 1) as its one proposal,
+        unpriced below every sum: no child is asked for a layer, and no
+        extreme is read, until a query pops it."""
+        tree = build_tree(seeded_arrays(1, 6, 8))
+        for node in tree.internals:
+            assert node.heap == [(-math.inf, UNPRICED, 1, 1)]
+            assert node.layers == []
+        assert all(leaf.layers == [] for leaf in tree.leaves)
+
     def test_empty_input_list_rejected(self):
         with pytest.raises(EmptyInputError):
             build_tree([])
@@ -334,15 +344,15 @@ class TestWorkIsPinned:
     carry must not change which products are generated or popped."""
 
     @pytest.mark.parametrize(
-        "name, mode, generated, pops",
+        "name, mode, generated, pops, exposed",
         [
-            ("random", "standard", 1293, 214),
-            ("random", "wobbly", 2684, 153),
-            ("ties", "standard", 598, 119),
-            ("ties", "wobbly", 564, 102),
+            ("random", "standard", 1293, 242, 21),
+            ("random", "wobbly", 2684, 179, 19),
+            ("ties", "standard", 598, 137, 15),
+            ("ties", "wobbly", 564, 119, 14),
         ],
     )
-    def test_values_generated_and_pops(self, name, mode, generated, pops):
+    def test_values_generated_and_pops(self, name, mode, generated, pops, exposed):
         if name == "random":
             rng = np.random.default_rng(31)
             arrays, k = [rng.integers(0, 1 << 20, size=48) for _ in range(4)], 700
@@ -353,6 +363,7 @@ class TestWorkIsPinned:
         np.testing.assert_array_equal(np.sort(tree.select_k(k)), brute_multi(arrays, k))
         snap = tree.stats()
         assert (snap.values_generated, snap.tuple_pops) == (generated, pops)
+        assert sum(snap.leaf_layers_exposed.values()) == exposed
 
 
 class TestLaziness:
@@ -398,6 +409,33 @@ class TestLaziness:
                 for child, index in zip((node.left, node.right), reached):
                     if isinstance(child, PairwiseState):
                         assert len(child.layers) <= index + 1
+
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_no_child_exposes_a_layer_before_a_tuple_on_it_pops(self, monkeypatch, mode):
+        """A node asks a child for layer i only when it pops a tuple whose
+        index on that child's side is i, so no child, leaf or internal, has
+        exposed a layer past the deepest popped index on its side: pricing a
+        proposal never reaches into a child."""
+        deepest = {}
+        pop_one = PairwiseState._pop_one
+
+        def _pop_one(state):
+            _, _, u, v = state.heap[0]
+            left, right = deepest.get(id(state), (0, 0))
+            deepest[id(state)] = (max(left, u), max(right, v))
+            return pop_one(state)
+
+        monkeypatch.setattr(PairwiseState, "_pop_one", _pop_one)
+        rng = np.random.default_rng(21)
+        arrays = [rng.integers(0, 1 << 30, size=32) for _ in range(16)]
+        tree = build_tree(arrays, TreeConfig(mode=mode))
+        for k in (1, 100, 5000):
+            tree.select_k(k)
+            for node in tree.internals:
+                reached = deepest.get(id(node), (0, 0))
+                for child, index in zip((node.left, node.right), reached):
+                    assert len(child.layers) <= index
 
 
 class TestPerNodeWork:
