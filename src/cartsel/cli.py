@@ -178,38 +178,38 @@ def run_verification(
     For every m <= m_max, n <= n_max, and trial a fresh integer instance is
     drawn from (seed, m, n, trial); selections at k in {1, 2, ceil(total/2),
     total} plus ten random k are compared to the sorted enumeration prefix,
-    exactly, and the two modes are compared to each other.
+    exactly, and the two modes are compared to each other. Each k is asked
+    of fresh trees, then of one tree per mode at every k from total down, so
+    each later query trims the layers that tree holds; those failures carry
+    resumed=1.
     """
     report = VerifyReport()
     for m in range(1, m_max + 1):
         for n in range(1, n_max + 1):
             for trial in range(trials):
                 rng = np.random.default_rng([seed, m, n, trial])
-                arrays = [
-                    rng.integers(0, 4 * n + 4, size=n).astype(np.int64)
-                    for _ in range(m)
-                ]
+                arrays = [rng.integers(0, 4 * n + 4, size=n).astype(np.int64) for _ in range(m)]
                 total = n**m
                 full = brute_multi(arrays, total, cap)
                 ks = {1, total, (total + 1) // 2}
                 if total >= 2:
                     ks.add(2)
                 ks.update(int(x) for x in rng.integers(1, total + 1, size=10))
-                for k in sorted(ks):
-                    expect = full[:k]
+                # each k on fresh trees, then from total down on one tree per mode
+                shared = {mode: build_tree(arrays, TreeConfig(mode=mode)) for mode in MODES}
+                sweep = [(k, {}) for k in sorted(ks)]
+                sweep += [(k, {"resumed": 1}) for k in sorted(ks, reverse=True)]
+                for k, tag in sweep:
+                    key = dict(seed=seed, m=m, n=n, trial=trial, k=k)
                     got = {}
                     for mode in MODES:
-                        tree = build_tree(arrays, TreeConfig(mode=mode))
+                        tree = shared[mode] if tag else build_tree(arrays, TreeConfig(mode=mode))
                         got[mode] = np.sort(tree.select_k(k))
                         report.cases += 1
-                        if not np.array_equal(got[mode], expect):
-                            report.oracle_failures.append(
-                                dict(seed=seed, m=m, n=n, trial=trial, k=k, mode=mode)
-                            )
+                        if not np.array_equal(got[mode], full[:k]):
+                            report.oracle_failures.append(dict(key, mode=mode, **tag))
                     if not np.array_equal(got["standard"], got["wobbly"]):
-                        report.agreement_failures.append(
-                            dict(seed=seed, m=m, n=n, trial=trial, k=k)
-                        )
+                        report.agreement_failures.append(dict(key, **tag))
     return report
 
 

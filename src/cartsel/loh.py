@@ -23,11 +23,11 @@ at most n values, and a value is moved at about log2(1/(alpha-1)) levels, so
 placing every layer costs O(n max(1, log(1/(alpha-1)))), linear in n for
 fixed alpha, plus the one front cut; a build costs O(n) however large n is.
 
-The selection primitives reorder a one-dimensional pool in place and copy
-out only the head a caller keeps, always as a new array. A built heap's
-values are read-only, so a selection over them copies them first. Where
-numpy cannot allocate an array sized by an input, a carry or k, the caller
-gets a ResourceLimitError naming its values and bytes (_out_of_memory).
+The selection primitives reorder a one-dimensional pool in place and return
+its head and tail as views, copying nothing. A built heap's values are
+read-only, so a selection over them copies them first. Where numpy cannot
+allocate an array sized by an input, a node buffer or k, the caller gets a
+ResourceLimitError naming its values and bytes (_out_of_memory).
 
 Outside inputs have one rule each: as_value_arrays coerces a group of inputs
 to one numeric profile without reading their values, the values are judged
@@ -234,28 +234,27 @@ def as_count(value, lo, hi, name) -> int:
 def linear_select(pool, k) -> tuple[np.ndarray, np.ndarray]:
     """Partition a one-dimensional pool in place so a k-smallest multiset comes first.
 
-    Returns (head, tail): head holds k values forming a smallest-k multiset
-    of the pool, with its largest value last when k >= 1, and tail the rest,
-    in no set order. One ndarray.partition call at k - 1 reorders the pool
-    itself (a read-only pool is copied once first): introselect, linear in
-    the worst case. The head is always a new array, as callers keep it and a
-    view would pin the whole pool. The tail is always a view into the pool
-    (or its one copy): a caller that keeps it decides whether to copy it.
+    Returns (head, tail), the views arr[:k] and arr[k:] of the partitioned
+    pool: head holds k values forming a smallest-k multiset of the pool, with
+    its largest value last when k >= 1, and tail the rest, in no set order.
+    One ndarray.partition call at k - 1 reorders the pool itself:
+    introselect, linear in the worst case. A writable pool is selected where
+    it lies and nothing is allocated; a read-only pool is copied once first,
+    and both views are into that copy. A caller that keeps a view decides
+    whether to copy it.
     """
     arr = np.asarray(pool)
     if arr.ndim != 1:
         raise ContractError(f"pool must be one-dimensional, got shape {arr.shape}")
     k = as_count(k, 0, arr.size, "k")
-    copied = not arr.flags.writeable
-    try:
-        if copied:
+    if not arr.flags.writeable:
+        try:
             arr = arr.copy()
-        if k:
-            arr.partition(k - 1)
-        head = arr if copied and k == arr.size else arr[:k].copy()
-    except MemoryError:
-        raise _out_of_memory(k + arr.size * copied, arr.dtype, "a selection's copies") from None
-    return head, arr[k:]
+        except MemoryError:
+            raise _out_of_memory(arr.size, arr.dtype, "a selection's copy") from None
+    if k:
+        arr.partition(k - 1)
+    return arr[:k], arr[k:]
 
 
 def partition_by_value(pool, bound) -> tuple[np.ndarray, np.ndarray]:

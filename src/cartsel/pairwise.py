@@ -3,8 +3,10 @@ layer-ordered value streams, emitted as a layer-ordered stream of its own.
 
 A PairwiseState is one internal node; each child is a leaf over one input's
 heap or another PairwiseState. Both kinds offer dtype, set at construction;
-layers (a list of arrays), mins and maxs (Python scalars), layer i at index
-i-1; ensure(i), which exposes layers 1..i and reports whether layer i
+values, one array holding the exposed layers back to back, and ends, Python
+ints with ends[0] = 0, so layer i is values[ends[i-1]:ends[i]] and
+len(ends) - 1 layers are exposed; mins and maxs (Python scalars), layer i at
+index i-1; ensure(i), which exposes layers 1..i and reports whether layer i
 exists; and generate_next_layer(target), the next layer or None past the
 last. A parent drives a node through ensure, sized by the node's own
 schedule 1, ceil(alpha), ...; the root is driven by select_k through
@@ -44,16 +46,18 @@ any of them could be certified.
 
 A row's products are expanded in column order, so the columns a row
 reaches between two emissions form one run v0..v1. Values are written only
-at an emission: one buffer of exactly the carry's size receives the kept
-carry, then one block of sums per pending row, layer u of the left stream
-plus layers v0..v1 of the right. Layers are emitted from that buffer once
-enough values are certified: standard mode takes exactly the requested count
-with a linear select, wobbly mode takes every carry value at or below the
-certifying bound in one value partition. Both partition the buffer in place
-and copy out only the emitted layer, its max placed last and read there.
-The unemitted values form the next carry, which _emit keeps a view into the
-buffer only while that pins at most twice its size, so no value is dropped
-or duplicated and no carry keeps a much larger pool alive.
+at an emission, into the node's one buffer, values: its layers come first,
+then the carry, the written values not yet emitted, then one block of sums
+per pending row, layer u of the left stream plus layers v0..v1 of the
+right, each read as one slice of its child's values. The buffer doubles
+when a write would overrun it, copying only the values written. A layer is
+then selected where it will stay: standard mode takes exactly the requested
+count with a linear select, wobbly mode takes every carry value at or below
+the certifying bound in one value partition. Both partition the carry in
+place with the layer's max last, where it is read, and the layer is
+recorded by appending its end to ends; the values after it are the next
+carry. So an emission allocates nothing and copies no value, and no value
+is dropped or duplicated.
 """
 
 from __future__ import annotations
@@ -85,13 +89,13 @@ class PairwiseState:
 
     mode, one of MODES, fixes how every layer is emitted, alpha the schedule
     ensure draws sizes from, and label names the node in stats(); dtype is
-    its children's, promoted. Emitted layers accumulate in layers, mins and
-    maxs, the fields a parent reads; once generate_next_layer has returned
-    None it returns None on every call. carry holds the written values not
-    yet emitted; rows maps each row with expanded but unwritten products to
-    its column run [v0, v1], written at the next emission. carry_count
-    counts both. state, the node itself, is kept only for the benchmark's
-    tracer.
+    its children's, promoted. Emitted layers accumulate in values, ends,
+    mins and maxs, the fields a parent reads; once generate_next_layer has
+    returned None it returns None on every call. values[:written] holds the
+    layers, then the carry, the written values not yet emitted; rows maps
+    each row with expanded but unwritten products to its column run
+    [v0, v1], written at the next emission. carry_count counts both. state,
+    the node itself, is kept only for the benchmark's tracer.
     """
 
     def __init__(self, left, right, mode: str, alpha=DEFAULT_ALPHA, label: str = "node"):
@@ -104,7 +108,9 @@ class PairwiseState:
         self._schedule = layer_size_schedule(alpha)
         self.dtype = np.promote_types(left.dtype, right.dtype)
         self.heap: list[tuple] = [(-math.inf, UNPRICED, 1, 1)]
-        self.carry = np.empty(0, self.dtype)
+        self.values = np.empty(0, self.dtype)
+        self.ends = [0]
+        self.written = 0
         self.rows: dict[int, list[int]] = {}
         self.carry_count = 0
         # s = (total size of max-popped products) - (total values emitted).
@@ -112,7 +118,6 @@ class PairwiseState:
         # generated; emissions may drive it negative, and the deficit is
         # repaid when the straddled products' max tuples pop.
         self.s = 0
-        self.layers: list[np.ndarray] = []
         self.mins: list = []
         self.maxs: list = []
         self.last_max_value = None
@@ -123,9 +128,11 @@ class PairwiseState:
     # which gives the tracer per-node records to read, deletes this alias
     state = property(lambda self: self)
 
+    carry = property(lambda self: self.values[self.ends[-1] : self.written])
+
     def ensure(self, i: int) -> bool:
         """Emit scheduled layers until layer i exists; False if it never will."""
-        while len(self.layers) < i:
+        while len(self.ends) <= i:
             if self.generate_next_layer(next(self._schedule)) is None:
                 return False
         return True
@@ -143,18 +150,19 @@ class PairwiseState:
         """
         _, _, u, v = t
         left, right = self.left, self.right
+        lends, rends = left.ends, right.ends
         self.rows.setdefault(u, [v, v])[1] = v
-        size = left.layers[u - 1].size * right.layers[v - 1].size
+        size = (lends[u] - lends[u - 1]) * (rends[v] - rends[v - 1])
         self.carry_count += size
         self.values_generated += size
         heap = self.heap
         heapq.heappush(heap, (left.maxs[u - 1] + right.maxs[v - 1], MAX, u, v))
-        if v < len(right.layers):
+        if v < len(rends) - 1:
             heapq.heappush(heap, (left.mins[u - 1] + right.mins[v], PRICED, u, v + 1))
         else:
             heapq.heappush(heap, (left.mins[u - 1] + right.maxs[v - 1], UNPRICED, u, v + 1))
         if v == 1:
-            if u < len(left.layers):
+            if u < len(lends) - 1:
                 heapq.heappush(heap, (left.mins[u] + right.mins[0], PRICED, u + 1, 1))
             else:
                 heapq.heappush(heap, (left.maxs[u - 1] + right.mins[0], UNPRICED, u + 1, 1))
@@ -182,47 +190,44 @@ class PairwiseState:
         if kind == PRICED:
             self.expand_min(t)
             return 0
-        size = left.layers[u - 1].size * right.layers[v - 1].size
+        lends, rends = left.ends, right.ends
+        size = (lends[u] - lends[u - 1]) * (rends[v] - rends[v - 1])
         self.s += size
         self.last_max_value = value
         return size
 
-    def _emit(self, layer: np.ndarray, rest: np.ndarray) -> np.ndarray:
-        # rest, the next carry, is a view into the pool; a carry that would
-        # pin a buffer over twice its size is copied out instead
-        if rest.base.nbytes > 2 * rest.nbytes:
-            rest = rest.copy()
-        self.layers.append(layer)
+    def _emit(self, layer: np.ndarray) -> np.ndarray:
+        """Record layer, the head of the carry selected in place, as the next layer."""
+        size = layer.size
+        self.ends.append(self.ends[-1] + size)
         self.mins.append(layer.min().item())
         self.maxs.append(layer[-1].item())  # the selection leaves the max last
-        self.carry = rest
-        self.carry_count = int(rest.size)
-        self.s -= int(layer.size)
+        self.carry_count -= size
+        self.s -= size
         return layer
 
     def _carry_pool(self) -> np.ndarray:
-        """Write the kept carry and every pending row into one exact buffer, the new carry."""
-        if not self.rows:
-            return self.carry
-        left, right = self.left.layers, self.right.layers
-        try:
-            pool = np.empty(self.carry_count, self.carry.dtype)
-        except MemoryError:
-            raise _out_of_memory(self.carry_count, self.carry.dtype, "a carry pool") from None
-        end = self.carry.size
-        pool[:end] = self.carry
-        for u, (v0, v1) in self.rows.items():
-            a = left[u - 1]
-            try:
-                b = right[v0 - 1] if v0 == v1 else np.concatenate(right[v0 - 1 : v1])
-            except MemoryError:
-                run = right[v0 - 1 : v1]
-                raise _out_of_memory(sum(r.size for r in run), run[0].dtype, "a row block") from None
-            start, end = end, end + a.size * b.size
-            np.add(a[:, None], b, out=pool[start:end].reshape(a.size, b.size))
-        self.rows.clear()
-        self.carry = pool
-        return pool
+        """Write every pending row after the carry, doubling the buffer when
+        they would overrun it, and return the carry, which now holds them."""
+        if self.rows:
+            end, need = self.written, self.ends[-1] + self.carry_count
+            if need > self.values.size:
+                size = max(need, 2 * self.values.size)
+                try:
+                    grown = np.empty(size, self.dtype)
+                except MemoryError:
+                    raise _out_of_memory(size, self.dtype, "a node's values") from None
+                grown[:end] = self.values[:end]
+                self.values = grown
+            out, left, right = self.values, self.left, self.right
+            for u, (v0, v1) in self.rows.items():
+                a = left.values[left.ends[u - 1] : left.ends[u]]
+                b = right.values[right.ends[v0 - 1] : right.ends[v1]]
+                start, end = end, end + a.size * b.size
+                np.add(a[:, None], b, out=out[start:end].reshape(a.size, b.size))
+            self.rows.clear()
+            self.written = end
+        return self.carry
 
     def generate_next_layer(self, target):
         """Emit the next layer of smallest remaining sums, or None at exhaustion.
@@ -244,20 +249,18 @@ class PairwiseState:
                 self._pop_one()
             if self.carry_count == 0:
                 return None
-            pool = self._carry_pool()
-            return self._emit(*linear_select(pool, min(target, self.carry_count)))
+            return self._emit(linear_select(self._carry_pool(), min(target, self.carry_count))[0])
         need = target
         while True:
             closed = 0
             while closed < need and heap:
                 closed += self._pop_one()
             if self.carry_count:
-                pool = self._carry_pool()
-                layer, rest = partition_by_value(pool, self.last_max_value)
+                layer = partition_by_value(self._carry_pool(), self.last_max_value)[0]
                 # an empty heap leaves every value under the bound: final layer
                 if layer.size >= target or not heap:
-                    return self._emit(layer, rest)
-                # a tie band came up short: the pool stays the carry; certify
+                    return self._emit(layer)
+                # a tie band came up short: it stays in the carry; certify
                 # until the band holds target or the product runs out
                 need = target - int(layer.size)
             elif not heap:

@@ -3,16 +3,17 @@
 A LeafNode exposes one input's layer-ordered heap; every internal node is a
 PairwiseState, emitting the layers of its children's sums, so the root's
 layers enumerate the sum multiset smallest first. Both kinds offer dtype,
-layers, mins, maxs, ensure and generate_next_layer: a parent reads either
-child the same way, and select_k drives a leaf or an internal root through
-generate_next_layer with the whole outstanding demand, while inner nodes
-emit on their own size schedule. Building touches no child: a node asks a
-child for a layer only when an unpriced tuple on it pops, learning then,
-from ensure, whether the layer exists, and a large leaf places layers past
-a short front only when asked.
-The final answer is a copy of the shortest root layer prefix holding at
-least k values, trimmed by a linear select only when it holds more than k
-(in standard mode it holds exactly k once a query has run), in no set order.
+values and ends (layer i is values[ends[i-1]:ends[i]]), mins, maxs, ensure
+and generate_next_layer: a parent reads either child the same way, and
+select_k drives a leaf or an internal root through generate_next_layer with
+the whole outstanding demand, while inner nodes emit on their own size
+schedule. Building touches no child: a node asks a child for a layer only
+when an unpriced tuple on it pops, learning then, from ensure, whether the
+layer exists, and a large leaf places layers past a short front only when
+asked.
+The answer is one new array, in no set order: the shortest prefix of root
+layers holding at least k values, whose last layer a linear select cuts in
+place when the prefix holds more (a fresh standard-mode query holds k).
 
 TreeConfig reads the rank alpha and the mode once per tree: every leaf heap
 and node schedule gets the one parsed Fraction, and every node engine the one
@@ -24,6 +25,7 @@ leaf and the group's sums by check_sums over the leaves, and k by as_count.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -85,43 +87,43 @@ class SelectionStats:
 class LeafNode:
     """A layer-ordered heap, exposed to its parent layer by layer.
 
-    layers grows on demand with read-only views of the heap's values, so
-    len(layers) is how deep the parent has reached, which is what the
-    laziness accounting reports. mins and maxs are the heap's own extremes
-    lists: they grow as the heap places layers, which ensure asks it to do
-    only for a layer not yet placed, and hold at least every exposed layer;
-    dtype is the heap's.
+    values is the heap's read-only array and ends grows on demand with the
+    heap's own ends, so len(ends) - 1 is how deep the parent has reached,
+    which is what the laziness accounting reports. mins and maxs are the
+    heap's own extremes lists: they grow as the heap places layers, which
+    ensure asks it to do only for a layer not yet placed, and hold at least
+    every exposed layer; dtype is the heap's.
     """
 
-    __slots__ = ("loh", "label", "dtype", "layers", "mins", "maxs")
+    __slots__ = ("loh", "label", "dtype", "values", "ends", "mins", "maxs")
 
     def __init__(self, loh: LayerOrderedHeap, label: str = "leaf"):
         self.loh = loh
         self.label = label
         self.dtype = loh.values.dtype
-        self.layers: list[np.ndarray] = []
+        self.values = loh.values
+        self.ends = [0]
         self.mins = loh.layer_mins
         self.maxs = loh.layer_maxs
 
     def ensure(self, i: int) -> bool:
-        layers, ends = self.layers, self.loh.ends
-        if i >= len(ends):
+        ends, heap_ends = self.ends, self.loh.ends
+        if i >= len(heap_ends):
             return False
         if len(self.mins) < i:
             self.loh.place(i)
-        while len(layers) < i:
-            j = len(layers)
-            layers.append(self.loh.values[ends[j] : ends[j + 1]])
+        ends.extend(heap_ends[len(ends) : i + 1])
         return True
 
     def generate_next_layer(self, target):
         """Expose the next layer, or return None past the last; a leaf's
         layer sizes are fixed, so the target is not used."""
-        return self.layers[-1] if self.ensure(len(self.layers) + 1) else None
+        ends = self.ends
+        return self.values[ends[-2] : ends[-1]] if self.ensure(len(ends)) else None
 
     @property
     def exposed_values(self) -> int:
-        return self.loh.ends[len(self.layers)]
+        return self.ends[-1]
 
 
 class CartesianProductTree:
@@ -142,34 +144,30 @@ class CartesianProductTree:
         if k == 0:
             return np.empty(0, dtype=self.root.dtype)
         root = self.root
-        layers = root.layers
-        cum = 0
-        j = 0
-        while cum < k:
-            if j < len(layers):
-                cum += layers[j].size
-                j += 1
-                continue
-            if root.generate_next_layer(k - cum) is None:
-                break  # product exhausted; cum == total >= k already
+        ends = root.ends
+        while ends[-1] < k:  # k <= total: the root reaches k before running out
+            if root.generate_next_layer(k - ends[-1]) is None:
+                break
+        j = bisect_left(ends, k)  # layer j is the first to reach k values
+        start, self.root_pool_size, values = ends[j - 1], ends[j], root.values
         try:
-            pool = layers[0] if j == 1 else np.concatenate(layers[:j])
+            if ends[j] == k:
+                return values[:k].copy()
+            # in place within layer j, so the root stays layer-ordered; a
+            # leaf root's read-only layer is copied by the select
+            head = linear_select(values[start : ends[j]], k - start)[0]
+            return np.concatenate((values[:start], head))
         except MemoryError:
-            raise _out_of_memory(cum, self.root.dtype, "a root pool") from None
-        self.root_pool_size = cum
-        if cum == k:  # the prefix is the answer: the caller gets its own copy
-            return pool.copy() if j == 1 else pool
-        # in place on a root layer or a fresh concatenation
-        return linear_select(pool, k)[0]
+            raise _out_of_memory(k, root.dtype, "an answer") from None
 
     def stats(self) -> SelectionStats:
         snap = SelectionStats()
         for node in self.internals:
             snap.values_generated += node.values_generated
             snap.tuple_pops += node.tuple_pops
-            snap.layers_emitted[node.label] = len(node.layers)
+            snap.layers_emitted[node.label] = len(node.ends) - 1
         for leaf in self.leaves:
-            snap.leaf_layers_exposed[leaf.label] = len(leaf.layers)
+            snap.leaf_layers_exposed[leaf.label] = len(leaf.ends) - 1
         snap.root_pool_size = self.root_pool_size
         return snap
 

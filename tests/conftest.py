@@ -37,6 +37,33 @@ def buffer_nbytes(arr):
     return arr.nbytes
 
 
+def layers(node):
+    """The layers a node, leaf or internal, has exposed: views of its values
+    cut at its ends."""
+    ends = node.ends
+    return [node.values[a:b] for a, b in zip(ends, ends[1:])]
+
+
+def assert_one_buffer(node):
+    """An internal node holds its values in one array: its layers are
+    value-ordered, contiguous slices of values[:ends[-1]], their recorded
+    extremes their own; its carry follows them in the same array, every
+    value at or above the last layer's max; and the array is under twice
+    what the node has written, so it pins no larger buffer. Checked between
+    emissions, when no row is pending."""
+    ends, values = node.ends, node.values
+    assert ends[0] == 0 and all(a < b for a, b in zip(ends, ends[1:]))
+    cut = layers(node)
+    assert [layer.min() for layer in cut] == node.mins
+    assert [layer.max() for layer in cut] == node.maxs
+    assert all(a <= b for a, b in zip(node.maxs, node.mins[1:]))
+    carry = node.carry
+    assert values.base is None and carry.base is values
+    assert carry.size == node.carry_count and not node.rows
+    assert not carry.size or carry.min() >= node.maxs[-1]
+    assert values.size < 2 * node.written or values.size == node.written == 0
+
+
 def k_smallest_sums(arrays, k):
     """The k smallest sums of one value from each array, sorted.
 

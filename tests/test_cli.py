@@ -271,7 +271,8 @@ class TestVerify:
             ["verify", "--n-max", "4", "--m-max", "3", "--trials", "2"], capsys
         )
         assert code == 0
-        assert "cases=" in out and "oracle_failures=0" in out
+        # 135 fresh queries per mode, and as many on one resumed tree per mode
+        assert out == "cases=540 oracle_failures=0 agreement_failures=0\n"
 
     def test_no_cases_warns(self, capsys):
         code, out, err = run_cli(["verify", "--trials", "0"], capsys)
@@ -295,7 +296,8 @@ class TestVerify:
 
     def test_failure_lines_are_exact(self, capsys, monkeypatch):
         """Corrupting wobbly mode alone prints both kinds of failure line,
-        each as its label and the replay key's key=value pairs in order."""
+        each as its label and the replay key's key=value pairs in order; a
+        query on the resumed tree is marked resumed=1."""
         real_build = cli.build_tree
 
         def build(arrays, cfg):
@@ -308,9 +310,11 @@ class TestVerify:
         )
         assert code == 1
         assert out == (
-            "cases=2 oracle_failures=1 agreement_failures=1\n"
+            "cases=4 oracle_failures=2 agreement_failures=2\n"
             "MISMATCH seed=0 m=1 n=1 trial=0 k=1 mode=wobbly\n"
+            "MISMATCH seed=0 m=1 n=1 trial=0 k=1 mode=wobbly resumed=1\n"
             "MODE-DISAGREEMENT seed=0 m=1 n=1 trial=0 k=1\n"
+            "MODE-DISAGREEMENT seed=0 m=1 n=1 trial=0 k=1 resumed=1\n"
         )
 
 

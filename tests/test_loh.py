@@ -231,14 +231,13 @@ class TestLinearSelect:
 
     def test_partitions_in_place(self):
         """The pool becomes a permutation of itself with the head first; the
-        tail is a view into it and the head a copy of its first k values."""
+        head and the tail are views of its first k values and of the rest."""
         pool = np.array([5, 1, 4, 2, 3] * 30, dtype=np.int64)
         snapshot = pool.copy()
         head, tail = linear_select(pool, 70)
         np.testing.assert_array_equal(np.sort(pool), np.sort(snapshot))
-        np.testing.assert_array_equal(pool[:70], head)
-        assert tail.base is pool and tail.size == 80
-        assert head.base is None and not np.shares_memory(head, pool)
+        assert head.base is pool and head.ctypes.data == pool.ctypes.data and head.size == 70
+        assert tail.base is pool and tail.ctypes.data == pool[70:].ctypes.data and tail.size == 80
 
     def test_read_only_pool_is_left_untouched(self):
         pool = np.array([5, 1, 4, 2, 3] * 30, dtype=np.int64)
@@ -272,29 +271,32 @@ class TestLinearSelect:
             linear_select(pool, 2 if pool.ndim else 0)
 
     @pytest.mark.parametrize("read_only", (False, True))
-    def test_whole_pool_head_is_a_new_array(self, read_only):
-        """At k = pool size the head is a copy, never the pool itself, and the
-        tail is an empty view, into the pool or, for a read-only pool, into
-        its one copy."""
+    def test_whole_pool_head_is_a_view(self, read_only):
+        """At k = pool size the head is a view of the whole pool or, for a
+        read-only pool, of its one copy, and the tail an empty view of the
+        same array; at k = 0 the roles swap."""
         pool = np.array([5, 1, 4, 2, 3], dtype=np.int64)
         pool.flags.writeable = not read_only
-        head, tail = linear_select(pool, pool.size)
-        assert head is not pool and not np.shares_memory(head, pool)
-        np.testing.assert_array_equal(np.sort(head), [1, 2, 3, 4, 5])
-        assert tail.size == 0 and tail.base is not None and tail.dtype == pool.dtype
-        assert (tail.base is pool) == (not read_only)
-        head, tail = linear_select(pool, 0)
-        assert head.size == 0 and head.base is None and tail.size == pool.size
+        for k in (pool.size, 0):
+            head, tail = linear_select(pool, k)
+            assert head.base is tail.base is not None and tail.dtype == pool.dtype
+            assert (head.base is pool) == (not read_only)
+            assert (head.size, tail.size) == (k, pool.size - k)
+        np.testing.assert_array_equal(np.sort(tail), [1, 2, 3, 4, 5])
 
-    def test_head_owns_its_data(self):
-        """A kept head never pins the larger pool it was selected from."""
+    def test_head_is_a_view_of_the_pool(self):
+        """A head is the pool's own first k values, not a copy, so a caller
+        that keeps it past the pool's use copies it; a selection over a tail
+        stays within that tail."""
         pool = np.arange(1000, dtype=np.int64)[::-1].copy()
         for k in (1, 500, 999):
             head, _ = linear_select(pool, k)
-            assert head.base is None
+            assert head.base is pool and head.ctypes.data == pool.ctypes.data
         tail = linear_select(pool, 600)[1]
-        head, _ = linear_select(tail, tail.size)
-        assert head.base is None
+        head, rest = linear_select(tail, 300)
+        assert head.base is pool and head.ctypes.data == tail.ctypes.data
+        assert rest.ctypes.data == tail[300:].ctypes.data
+        np.testing.assert_array_equal(np.sort(head), np.arange(600, 900))
 
 
 POOLS = st.one_of(
@@ -307,9 +309,9 @@ class TestLinearSelectContract:
     @settings(max_examples=150, deadline=None, database=None, derandomize=True)
     @given(POOLS, st.booleans())
     def test_every_k(self, values, read_only):
-        """For every k: the multiset is kept, the head is a new array whose
-        last value is its max, the tail is always a view, into the pool or
-        into the one copy of a read-only pool, which is left untouched."""
+        """For every k: the multiset is kept, the head's last value is its
+        max, and the head and tail are views of one array, the pool or the
+        one copy of a read-only pool, which is left untouched."""
         ref = np.sort(values)
         for k in range(values.size + 1):
             pool = values.copy()
@@ -317,15 +319,14 @@ class TestLinearSelectContract:
             head, tail = linear_select(pool, k)
             np.testing.assert_array_equal(np.sort(head), ref[:k])
             np.testing.assert_array_equal(np.sort(np.concatenate((head, tail))), ref)
-            assert head.base is None and not np.shares_memory(head, pool)
             if k:
                 assert head[-1] == head.max()
-            assert tail.base is not None
+            assert head.base is tail.base is not None
             if read_only:
                 np.testing.assert_array_equal(pool, values)
-                assert not np.shares_memory(tail, pool)
+                assert not np.shares_memory(head.base, pool)
             else:
-                assert tail.base is pool
+                assert head.base is pool
 
     @pytest.mark.parametrize("read_only", (False, True))
     def test_pool_is_copied_at_most_once(self, read_only):
@@ -370,23 +371,22 @@ class TestPartitionByValue:
 
     def test_partitions_in_place(self):
         """Every value equal to the bound lands in the head; the pool is
-        reordered in place, with the head's max last. The tail is a view into
-        the pool however small it is; the carry's keeper decides whether to
-        copy it."""
+        reordered in place, with the head's max last. The head and the tail
+        are views of the pool, however small either is."""
         pool = np.array([3, 2, 5, 2, 1, 2, 4, 2], dtype=np.int64)
         head, tail = partition_by_value(pool, 2)
         np.testing.assert_array_equal(np.sort(head), [1, 2, 2, 2, 2])
         np.testing.assert_array_equal(np.sort(tail), [3, 4, 5])
         np.testing.assert_array_equal(pool[:5], head)
         np.testing.assert_array_equal(pool[5:], tail)
-        assert head[-1] == 2 and head.base is None
+        assert head[-1] == 2 and head.base is pool
         assert tail.base is pool
         pool = np.array([3, 2, 5, 2, 1, 6, 4, 7], dtype=np.int64)
         head, tail = partition_by_value(pool, 2)
         np.testing.assert_array_equal(np.sort(head), [1, 2, 2])
         np.testing.assert_array_equal(np.sort(tail), [3, 4, 5, 6, 7])
         np.testing.assert_array_equal(pool[:3], head)
-        assert head[-1] == 2 and head.base is None
+        assert head[-1] == 2 and head.base is pool
         assert tail.base is pool
 
     def test_short_band_leaves_the_pool_whole(self):

@@ -12,7 +12,7 @@ from cartsel.loh import linear_select, lohify, partition_by_value
 from cartsel.oracle import brute_pairwise
 from cartsel.pairwise import MAX, MODES, PRICED, UNPRICED, PairwiseState
 from cartsel.tree import LeafNode, TreeConfig, build_tree, select_pairwise
-from conftest import G, G0, NON_FINITE, buffer_nbytes
+from conftest import G, G0, NON_FINITE, assert_one_buffer, layers
 
 
 def make_state(a, b, mode="standard", alpha=1.1):
@@ -78,11 +78,11 @@ class TestExpandMin:
         state = make_state([1, 2, 3, 4, 5, 6], [1, 2, 3, 4, 5, 6])
         assert state._pop_one() == 0
         assert state.heap == [(2, PRICED, 1, 1)]
-        assert (len(state.left.layers), len(state.right.layers)) == (1, 1)
+        assert (len(layers(state.left)), len(layers(state.right))) == (1, 1)
         assert state._pop_one() == 0
         assert heap_refs(state) == {(1, 1, True), (1, 2, False), (2, 1, False)}
         assert {t[1] for t in state.heap if t[1] != MAX} == {UNPRICED}
-        assert (len(state.left.layers), len(state.right.layers)) == (1, 1)
+        assert (len(layers(state.left)), len(layers(state.right))) == (1, 1)
 
     def test_interior_product_proposes_only_the_next_column(self):
         """Expanding (2, 3) proposes (2, 4) and no new row, asking the right
@@ -97,7 +97,7 @@ class TestExpandMin:
             state.expand_min((0, PRICED, 2, 3))
             assert heap_refs(state) == {(2, 3, True), (2, 4, False)}
             assert [t[1] for t in state.heap if t[1] != MAX] == [kind]
-            assert (len(state.left.layers), len(state.right.layers)) == (2, exposed)
+            assert (len(layers(state.left)), len(layers(state.right))) == (2, exposed)
         assert (state.left.mins[1] + state.right.mins[3], PRICED, 2, 4) in state.heap
 
     def test_proposals_past_last_layer_go_in_unpriced(self):
@@ -123,7 +123,7 @@ class TestExpandMin:
             state.heap = past
             assert state._pop_one() == 0
             assert state.heap == [] and state.values_generated == generated
-            assert (len(state.left.layers), len(state.right.layers)) == (u, v)
+            assert (len(layers(state.left)), len(layers(state.right))) == (u, v)
 
     def test_generates_the_product_block(self, monkeypatch):
         """Expanding (2, 2) counts its 4 values at once; they are written into
@@ -244,32 +244,42 @@ class TestGenerateNextLayer:
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("hi", (4, 1 << 20))
     def test_drained_carry_pins_no_buffer(self, mode, hi):
-        """After a full drain the carry is a new empty array, not an empty
-        view that would keep the last emission's pool alive."""
+        """After a full drain the carry is an empty view at the end of the
+        node's one buffer, which holds the whole product as layers and is
+        under twice its size: no other buffer is kept alive."""
         rng = np.random.default_rng(hi)
         a = rng.integers(0, hi, size=30).astype(np.int64)
         b = rng.integers(0, hi, size=21).astype(np.int64)
         state = make_state(a, b, mode)
         drain(state, [1, 6, 40] * 300)
         assert state.generate_next_layer(1) is None
-        assert state.carry.size == 0 and state.carry.base is None
+        assert state.carry.size == 0 and state.carry.base is state.values
+        assert state.ends[-1] == state.written == a.size * b.size
+        assert_one_buffer(state)
 
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("hi", (4, 1 << 20))
-    def test_carry_pins_at_most_twice_its_bytes(self, mode, hi):
-        """After every emission the carry is a view only into a buffer at
-        most twice its size, or a new array: a small carry never keeps the
-        larger pool it was selected from alive."""
+    def test_every_emission_keeps_one_buffer(self, mode, hi):
+        """After every emission the node's layers are ordered, contiguous
+        slices of its values, the carry follows them in the same array, and
+        the array is under twice the values written: growth by doubling
+        copies only what is written, and each returned layer is a view of
+        the buffer it was selected in."""
         rng = np.random.default_rng(hi + 1)
         a = rng.integers(0, hi, size=30).astype(np.int64)
         b = rng.integers(0, hi, size=21).astype(np.int64)
         state = make_state(a, b, mode)
         targets = [1, 6, 40, 3, 100]
+        sizes = set()
         for i in range(a.size * b.size):
-            if state.generate_next_layer(targets[i % len(targets)]) is None:
+            layer = state.generate_next_layer(targets[i % len(targets)])
+            if layer is None:
                 break
-            assert buffer_nbytes(state.carry) <= 2 * state.carry.nbytes
-        assert state.carry.size == 0
+            assert layer.base is state.values
+            assert layer.ctypes.data == state.values[state.ends[-2] :].ctypes.data
+            assert_one_buffer(state)
+            sizes.add(state.values.size)
+        assert state.carry.size == 0 and len(sizes) > 2
 
     def test_standard_emits_exact_target(self):
         rng = np.random.default_rng(12)
@@ -307,7 +317,7 @@ class TestGenerateNextLayer:
         def spy(select):
             def wrapper(pool, arg):
                 assert pool.size == state.carry_count and not state.rows
-                pools.append((len(state.layers), pool.size))
+                pools.append((len(state.ends) - 1, pool.size))
                 return select(pool, arg)
 
             return wrapper
@@ -335,22 +345,30 @@ class TestGenerateNextLayer:
             assert len(pools) > len(layers) and any(retries)
 
     def test_failed_row_block_is_a_typed_error(self, monkeypatch):
-        """A row's multi-column run is joined with np.concatenate at the
-        emission; numpy failing to allocate it raises ResourceLimitError
-        naming the run's values and bytes, not a bare MemoryError."""
+        """Row blocks are written into the node's buffer, grown at the
+        emission when they would overrun it; numpy failing to allocate the
+        growth raises ResourceLimitError naming the new buffer's values and
+        bytes, not a bare MemoryError. The rows stay pending, so the node is
+        spent: the next call fails the same way."""
         state = make_state(range(20), range(20))
-        runs = []
+        state.generate_next_layer(30)
+        written, capacity = state.written, state.values.size
+        sizes = []
 
-        def concatenate(arrays, *args, **kwargs):
-            runs.append(arrays)
+        def empty(size, *args, **kwargs):
+            sizes.append(size)
             raise MemoryError
 
-        monkeypatch.setattr(np, "concatenate", concatenate)
-        with pytest.raises(ResourceLimitError) as err:
-            state.generate_next_layer(30)
-        assert len(runs) == 1 and len(runs[0]) > 1
-        count = sum(a.size for a in runs[0])
-        assert str(err.value) == f"out of memory for a row block: {count} values, {8 * count} bytes"
+        monkeypatch.setattr(np, "empty", empty)
+        errors = []
+        for _ in range(2):
+            with pytest.raises(ResourceLimitError) as err:
+                state.generate_next_layer(300)
+            errors.append(str(err.value))
+        size = sizes[0]
+        assert sizes == [size, size] and size == max(state.ends[-1] + state.carry_count, 2 * capacity)
+        assert state.rows and (state.written, state.values.size) == (written, capacity)
+        assert errors == [f"out of memory for a node's values: {size} values, {8 * size} bytes"] * 2
 
     def test_failed_value_mask_loses_no_value(self, monkeypatch):
         """A wobbly emission whose value mask cannot be allocated raises
