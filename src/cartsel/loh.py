@@ -365,24 +365,27 @@ def _cut_front(work: np.ndarray, cut: int) -> None:
 
     The c values <= tau are gathered into work[:c] by swapping each one past
     c with a value > tau before c (min(c, n - c) swaps at most), and only
-    work[:c] is partitioned; all of work is, when c is under cut (0 for a
+    work[:c] is partitioned; all of work is, with no mask, when the sample's
+    share at or below tau predicts too many, or when c is under cut (0 for a
     NaN tau) or too large. NaN and +inf are never <= a finite tau.
     """
     n = work.size
     sample = work[:: max(1, n // SAMPLE)]
     rank = min(sample.size - 1, 2 * cut * sample.size // n + SAMPLE_MARGIN)
-    tau = np.partition(sample, rank)[rank]  # on a copy: work keeps its order
-    try:
-        mask = work <= tau
-    except MemoryError:
-        raise _out_of_memory(n, np.bool_, "a front mask") from None
-    c = int(np.count_nonzero(mask))
-    if not cut <= c <= max(SAMPLE, n // GATHER_SHARE):
-        c = n
-    else:
-        back, late = work[c:], np.flatnonzero(mask[c:])
-        early = np.flatnonzero(np.logical_not(mask[:c], out=mask[:c]))  # no second mask
-        work[early], back[late] = back[late], work[early]
+    sample = np.partition(sample, rank)  # a copy: work keeps its order
+    tau, most, c = sample[rank], max(SAMPLE, n // GATHER_SHARE), n
+    if np.count_nonzero(sample <= tau) * n <= most * sample.size:
+        try:
+            mask = work <= tau
+        except MemoryError:
+            raise _out_of_memory(n, np.bool_, "a front mask") from None
+        c = int(np.count_nonzero(mask))
+        if not cut <= c <= most:
+            c = n
+        else:
+            back, late = work[c:], np.flatnonzero(mask[c:])
+            early = np.flatnonzero(np.logical_not(mask[:c], out=mask[:c]))  # no second mask
+            work[early], back[late] = back[late], work[early]
     work[:c].partition(cut - 1)
 
 

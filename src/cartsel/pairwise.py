@@ -16,25 +16,21 @@ The engine works on layer products A(u) + B(v): the multiset of sums of one
 value from layer u of the left stream and one from layer v of the right.
 A binary heap holds plain tuples (value, kind, u, v), ordered as tuples: per
 product a MAX tuple valued max(A(u)) + max(B(v)) and a min tuple, PRICED at
-the exact min(A(u)) + min(B(v)) or, while the child has not produced the
-layer it needs, UNPRICED at a lower bound. Popping a priced tuple counts the
-product's values into the carry, records that row u now reaches column v,
-and proposes its grid neighbours: (u, v+1), plus (u+1, 1) when v == 1.
-Every product other than (1, 1) has exactly one proposer, (u, v-1) or
-(u-1, 1), whose min is no larger than its own, so no product is proposed
-twice and none is proposed too late; (1, 1), which has none, is pushed at
-construction as an ordinary unpriced tuple at -inf.
-
-expand_min prices a proposal exactly only when its child has already
-exposed the layer. Otherwise it pushes the proposal unpriced, at
-min(A(u)) + max(B(v)) for (u, v+1) and max(A(u)) + min(B(1)) for
-(u+1, 1), at most the product's min as layers are value-ordered. Popping
-an unpriced tuple is the one place a node calls into a child: it asks
-both children for the tuple's layers, left.ensure(u) and right.ensure(v),
-and replaces the tuple at its exact min, or drops it if a layer does not
-exist. So a child exposes no layer past the deepest index its parent has
-popped a tuple on, and emits a layer, about alpha times all its layers
-before it, only once its parent pops a product in it.
+the exact min(A(u)) + min(B(v)) or, while the child has not exposed the
+layer it needs, UNPRICED at a lower bound, min(A(u)) + max(B(v)) for
+(u, v+1) and max(A(u)) + min(B(1)) for (u+1, 1). One loop, _certify, pops
+them in both modes. Popping a priced tuple counts the product's values into
+the carry, records that row u now reaches column v, and proposes its grid
+neighbours: (u, v+1), plus (u+1, 1) when v == 1. Every product other than
+(1, 1) has exactly one proposer, (u, v-1) or (u-1, 1), whose min is no
+larger than its own, so no product is proposed twice and none too late;
+(1, 1), which has none, is pushed at construction unpriced at -inf. Popping
+an unpriced tuple is the one place a node calls into a child: it asks for
+the tuple's layers, left.ensure(u) and right.ensure(v), and replaces the
+tuple at its exact min, or drops it if a layer does not exist. So a child
+exposes no layer past the deepest index its parent has popped a tuple on,
+and emits a layer, about alpha times all its layers before it, only once
+its parent pops a product in it.
 
 Popping a max tuple certifies that the whole product now precedes
 everything not yet generated. At equal value a max tuple pops first, as MAX
@@ -46,18 +42,19 @@ any of them could be certified.
 
 A row's products are expanded in column order, so the columns a row
 reaches between two emissions form one run v0..v1. Values are written only
-at an emission, into the node's one buffer, values: its layers come first,
-then the carry, the written values not yet emitted, then one block of sums
-per pending row, layer u of the left stream plus layers v0..v1 of the
-right, each read as one slice of its child's values. The buffer doubles
-when a write would overrun it, copying only the values written. A layer is
-then selected where it will stay: standard mode takes exactly the requested
-count with a linear select, wobbly mode takes every carry value at or below
-the certifying bound in one value partition. Both partition the carry in
-place with the layer's max last, where it is read, and the layer is
-recorded by appending its end to ends; the values after it are the next
-carry. So an emission allocates nothing and copies no value, and no value
-is dropped or duplicated.
+at an emission, into the node's one buffer, values: its layers, then the
+carry, the written values not yet emitted, then one block of sums per
+pending row, layer u of the left stream plus layers v0..v1 of the right,
+each read as one slice of its child's values, with the longer of the two
+along the block's contiguous axis. The buffer doubles when a write would
+overrun it, copying only the values written. A layer is then selected in
+place: standard mode takes exactly the requested count with a linear
+select, wobbly mode every carry value at or below the certifying bound with
+one value partition. Both leave the layer's max last, where it is read;
+layer 1's min is the children's first mins summed, a later one's a single
+reduction. Appending the layer's end to ends records it, and the values
+after it are the next carry: an emission allocates nothing, copies no
+value, and drops or duplicates none.
 """
 
 from __future__ import annotations
@@ -138,15 +135,11 @@ class PairwiseState:
         return True
 
     def expand_min(self, t: tuple) -> None:
-        """Count the popped product into the carry and propose its successors.
-
-        Its values are written at the next emission, with the rest of row
-        u's run. The successors are the next product in the row, (u, v+1),
-        and, from the first column only, the first product of the next row,
-        (u+1, 1). It pushes the product's MAX tuple, then each proposal
-        PRICED at its exact min if the child has exposed that layer, else
-        UNPRICED at a lower bound; it asks no child for anything. Nothing
-        but this method adds to values_generated.
+        """Count the popped product into the carry, to be written at the next
+        emission, push its MAX tuple and propose (u, v+1) and, from column 1,
+        (u+1, 1), each PRICED if the child has exposed its layer, else
+        UNPRICED; it asks no child for anything. Nothing but this method adds
+        to values_generated.
         """
         _, _, u, v = t
         left, right = self.left, self.right
@@ -167,41 +160,47 @@ class PairwiseState:
             else:
                 heapq.heappush(heap, (left.maxs[u - 1] + right.mins[0], UNPRICED, u + 1, 1))
 
-    def _pop_one(self) -> int:
-        """Pop one tuple; return the product size on a max pop, else 0.
-
-        An unpriced tuple asks the left child for layer u and the right for
-        layer v, the only call a node makes into a child. It is then
-        replaced at the top by its priced tuple in one heap operation, or
-        popped if a layer does not exist; either way it counts as one pop.
-        Tuples are distinct, so this pops in the same order as a pop and a
-        push would.
+    def _certify(self, need) -> int:
+        """Pop tuples until the products closed by max pops hold need values
+        or the heap is empty, and return the values closed; s, tuple_pops and
+        last_max_value are written back even if a child raises. An unpriced
+        tuple is replaced at the top by its priced one in one heap operation:
+        tuples are distinct, so that pops in the order a pop and a push would.
         """
         heap, left, right = self.heap, self.left, self.right
-        value, kind, u, v = t = heap[0]
-        self.tuple_pops += 1
-        if kind == UNPRICED:
-            if left.ensure(u) and right.ensure(v):
-                heapq.heapreplace(heap, (left.mins[u - 1] + right.mins[v - 1], PRICED, u, v))
-            else:
-                heapq.heappop(heap)
-            return 0
-        heapq.heappop(heap)
-        if kind == PRICED:
-            self.expand_min(t)
-            return 0
-        lends, rends = left.ends, right.ends
-        size = (lends[u] - lends[u - 1]) * (rends[v] - rends[v - 1])
-        self.s += size
-        self.last_max_value = value
-        return size
+        lends, rends, lmins, rmins = left.ends, right.ends, left.mins, right.mins
+        pop, replace, expand = heapq.heappop, heapq.heapreplace, self.expand_min
+        closed = pops = 0
+        last = self.last_max_value
+        try:
+            while closed < need and heap:
+                pops += 1
+                value, kind, u, v = t = heap[0]
+                if kind == MAX:
+                    pop(heap)
+                    closed += (lends[u] - lends[u - 1]) * (rends[v] - rends[v - 1])
+                    last = value
+                elif kind == PRICED:
+                    pop(heap)
+                    expand(t)
+                elif left.ensure(u) and right.ensure(v):
+                    replace(heap, (lmins[u - 1] + rmins[v - 1], PRICED, u, v))
+                else:
+                    pop(heap)
+        finally:
+            self.s += closed
+            self.tuple_pops += pops
+            self.last_max_value = last
+        return closed
 
     def _emit(self, layer: np.ndarray) -> np.ndarray:
-        """Record layer, the head of the carry selected in place, as the next layer."""
-        size = layer.size
-        self.ends.append(self.ends[-1] + size)
-        self.mins.append(layer.min().item())
-        self.maxs.append(layer[-1].item())  # the selection leaves the max last
+        """Record layer, the head of the carry selected in place, as the next
+        layer; its max is last, and layer 1's min is the smallest sum."""
+        size, ends, mins = layer.size, self.ends, self.mins
+        end = ends[-1] + size
+        ends.append(end)
+        mins.append(np.minimum.reduce(layer).item() if mins else self.left.mins[0] + self.right.mins[0])
+        self.maxs.append(self.values.item(end - 1))
         self.carry_count -= size
         self.s -= size
         return layer
@@ -223,6 +222,8 @@ class PairwiseState:
             for u, (v0, v1) in self.rows.items():
                 a = left.values[left.ends[u - 1] : left.ends[u]]
                 b = right.values[right.ends[v0 - 1] : right.ends[v1]]
+                if a.size > b.size:  # the longer operand on the contiguous axis: fewer, longer loops
+                    a, b = b, a
                 start, end = end, end + a.size * b.size
                 np.add(a[:, None], b, out=out[start:end].reshape(a.size, b.size))
             self.rows.clear()
@@ -243,27 +244,23 @@ class PairwiseState:
         overshoot would compound exponentially along the value stream.
         """
         target = as_count(target, 1, math.inf, "layer target")
-        heap = self.heap
         if self.mode == "standard":
-            while self.s < target and heap:
-                self._pop_one()
+            self._certify(target - self.s)
             if self.carry_count == 0:
                 return None
             return self._emit(linear_select(self._carry_pool(), min(target, self.carry_count))[0])
         need = target
         while True:
-            closed = 0
-            while closed < need and heap:
-                closed += self._pop_one()
+            self._certify(need)
             if self.carry_count:
                 layer = partition_by_value(self._carry_pool(), self.last_max_value)[0]
                 # an empty heap leaves every value under the bound: final layer
-                if layer.size >= target or not heap:
+                if layer.size >= target or not self.heap:
                     return self._emit(layer)
                 # a tie band came up short: it stays in the carry; certify
                 # until the band holds target or the product runs out
                 need = target - int(layer.size)
-            elif not heap:
+            elif not self.heap:
                 return None
             else:
                 need = target

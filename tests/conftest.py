@@ -5,7 +5,12 @@ asked for a layer of size s generates at most G * alpha**2 * s + G0 values,
 and a standard-mode root pool for k stays within G * alpha**2 * k + G0.
 """
 
+import heapq
+from types import SimpleNamespace
+
 import numpy as np
+
+import cartsel.pairwise as pairwise_mod
 
 G = 8
 G0 = 64
@@ -42,6 +47,26 @@ def layers(node):
     cut at its ends."""
     ends = node.ends
     return [node.values[a:b] for a, b in zip(ends, ends[1:])]
+
+
+def record_pops(monkeypatch, record):
+    """Call record(heap), with the tuple about to leave at heap[0], before
+    every heappop and heapreplace cartsel.pairwise makes: each is one pop
+    of a node's certification loop."""
+
+    def heappop(heap):
+        record(heap)
+        return heapq.heappop(heap)
+
+    def heapreplace(heap, item):
+        record(heap)
+        return heapq.heapreplace(heap, item)
+
+    monkeypatch.setattr(
+        pairwise_mod,
+        "heapq",
+        SimpleNamespace(heappush=heapq.heappush, heappop=heappop, heapreplace=heapreplace),
+    )
 
 
 def assert_one_buffer(node):

@@ -647,6 +647,39 @@ class TestSampledFrontCut:
         assert len(heap.layer_mins) < heap.boundaries.size
         assert peak < 1.25 * n * 8
 
+    @pytest.mark.parametrize("values", ("all equal", "two values"))
+    def test_heavy_ties_are_cut_whole_without_a_mask(self, values):
+        """The strided sample shows the ties: its share at or below tau
+        predicts far more than a gather's worth, so the input is cut whole
+        before any mask of the input's size is built, and the build peaks
+        at its working copy and little more. The heap stays exact."""
+        n = 1 << 20
+        vals = np.full(n, 7) if values == "all equal" else np.random.default_rng(5).integers(0, 2, n)
+        tracemalloc.start()
+        try:
+            heap = lohify(vals)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(heap.layer_mins) < heap.boundaries.size
+        assert peak < 1.05 * n * 8
+        assert verify_loh(heap)
+        assert_layers_are_rank_slices(heap, vals)
+
+    def test_random_reals_take_the_front_cut(self):
+        """Distinct reals put about twice a front's share of the sample at or
+        below tau, so the front is gathered and only it is partitioned: the
+        values past the gathered front stay where the input had them, save
+        the few swapped into it, and the heap stays exact."""
+        n = 1 << 20
+        vals = np.random.default_rng(6).random(n)
+        heap = lohify(vals)
+        assert len(heap.layer_mins) < heap.boundaries.size
+        kept = heap.values[n // 2 :] == vals[n // 2 :]
+        assert kept.mean() > 0.99
+        assert verify_loh(heap)
+        assert_layers_are_rank_slices(heap, vals)
+
 
 class TestVerifyLoh:
     def test_rejects_unordered_layers(self):

@@ -1,6 +1,7 @@
 """Tests for the incremental pairwise sum-selection engine."""
 
 import heapq
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,7 +13,7 @@ from cartsel.loh import linear_select, lohify, partition_by_value
 from cartsel.oracle import brute_pairwise
 from cartsel.pairwise import MAX, MODES, PRICED, UNPRICED, PairwiseState
 from cartsel.tree import LeafNode, TreeConfig, build_tree, select_pairwise
-from conftest import G, G0, NON_FINITE, assert_one_buffer, layers
+from conftest import G, G0, NON_FINITE, assert_one_buffer, layers, record_pops
 
 
 def make_state(a, b, mode="standard", alpha=1.1):
@@ -25,6 +26,26 @@ def make_state(a, b, mode="standard", alpha=1.1):
 
 def heap_refs(state):
     return {(u, v, not is_min) for _, is_min, u, v in state.heap}
+
+
+class _OnePop(list):
+    """A heap that reads as empty from the second time the certification
+    loop tests it, so the loop pops exactly one tuple."""
+
+    tested = False
+
+    def __bool__(self):
+        first, self.tested = not self.tested, True
+        return first and len(self) > 0
+
+
+def pop_one(state):
+    """Pop one tuple through _certify; return the values its pop closed."""
+    state.heap = _OnePop(state.heap)
+    try:
+        return state._certify(math.inf)
+    finally:
+        state.heap = list(state.heap)
 
 
 def drain(state, targets):
@@ -76,10 +97,10 @@ class TestExpandMin:
         expanding it pushes its max and both grid neighbours UNPRICED, and
         exposes no child layer."""
         state = make_state([1, 2, 3, 4, 5, 6], [1, 2, 3, 4, 5, 6])
-        assert state._pop_one() == 0
+        assert pop_one(state) == 0
         assert state.heap == [(2, PRICED, 1, 1)]
         assert (len(layers(state.left)), len(layers(state.right))) == (1, 1)
-        assert state._pop_one() == 0
+        assert pop_one(state) == 0
         assert heap_refs(state) == {(1, 1, True), (1, 2, False), (2, 1, False)}
         assert {t[1] for t in state.heap if t[1] != MAX} == {UNPRICED}
         assert (len(layers(state.left)), len(layers(state.right))) == (1, 1)
@@ -121,7 +142,7 @@ class TestExpandMin:
             assert len(past) == 1
             generated = state.values_generated
             state.heap = past
-            assert state._pop_one() == 0
+            assert pop_one(state) == 0
             assert state.heap == [] and state.values_generated == generated
             assert (len(layers(state.left)), len(layers(state.right))) == (u, v)
 
@@ -388,6 +409,42 @@ class TestGenerateNextLayer:
             state.generate_next_layer(30)
         assert state.carry.size == state.carry_count > 0
         layers = drain(state, [30] * 400)
+        np.testing.assert_array_equal(
+            np.sort(np.concatenate(layers)), brute_pairwise(a, b, a.size * b.size)
+        )
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_a_child_that_raises_leaves_exact_counters(self, monkeypatch, mode):
+        """A child raising inside the certification loop leaves s, tuple_pops
+        and last_max_value counting every pop made before it, the raising
+        one too, so the node drains to exactly its product once the child
+        recovers."""
+        popped = []
+        record_pops(monkeypatch, lambda heap: popped.append(heap[0]))
+        a, b = np.arange(40), np.arange(0, 80, 2)
+        state = make_state(a, b, mode)
+        ensure, calls = LeafNode.ensure, []
+
+        def fail_once(leaf, i):
+            calls.append(i)
+            if len(calls) == 30:
+                raise ResourceLimitError("a child ran out of memory")
+            return ensure(leaf, i)
+
+        monkeypatch.setattr(LeafNode, "ensure", fail_once)
+        with pytest.raises(ResourceLimitError):
+            state.generate_next_layer(a.size * b.size)
+        lends, rends = state.left.ends, state.right.ends
+        closed = [
+            (value, (lends[u] - lends[u - 1]) * (rends[v] - rends[v - 1]))
+            for value, kind, u, v in popped
+            if kind == MAX
+        ]
+        assert closed and state.ends == [0]
+        assert state.tuple_pops == len(popped) + 1
+        assert state.s == sum(size for _, size in closed)
+        assert state.last_max_value == closed[-1][0]
+        layers = drain(state, [7] * 400)
         np.testing.assert_array_equal(
             np.sort(np.concatenate(layers)), brute_pairwise(a, b, a.size * b.size)
         )

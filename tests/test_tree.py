@@ -25,7 +25,7 @@ from cartsel.loh import lohify, verify_loh
 from cartsel.oracle import brute_multi
 from cartsel.pairwise import MODES, UNPRICED, PairwiseState
 from cartsel.tree import LeafNode, TreeConfig, build_tree, select_pairwise
-from conftest import G, G0, NON_FINITE, assert_one_buffer, k_smallest_sums, layers
+from conftest import G, G0, NON_FINITE, assert_one_buffer, k_smallest_sums, layers, record_pops
 from conftest import buffer_nbytes as _buffer_nbytes
 
 
@@ -417,24 +417,23 @@ class TestLaziness:
         """A node asks a child for layer i only when it pops a tuple whose
         index on that child's side is i, so no child, leaf or internal, has
         exposed a layer past the deepest popped index on its side: pricing a
-        proposal never reaches into a child."""
+        proposal never reaches into a child. Each pop is seen at the heap
+        functions the certification loop calls."""
         deepest = {}
-        pop_one = PairwiseState._pop_one
 
-        def _pop_one(state):
-            _, _, u, v = state.heap[0]
-            left, right = deepest.get(id(state), (0, 0))
-            deepest[id(state)] = (max(left, u), max(right, v))
-            return pop_one(state)
+        def record(heap):
+            _, _, u, v = heap[0]
+            left, right = deepest.get(id(heap), (0, 0))
+            deepest[id(heap)] = (max(left, u), max(right, v))
 
-        monkeypatch.setattr(PairwiseState, "_pop_one", _pop_one)
+        record_pops(monkeypatch, record)
         rng = np.random.default_rng(21)
         arrays = [rng.integers(0, 1 << 30, size=32) for _ in range(16)]
         tree = build_tree(arrays, TreeConfig(mode=mode))
         for k in (1, 100, 5000):
             tree.select_k(k)
             for node in tree.internals:
-                reached = deepest.get(id(node), (0, 0))
+                reached = deepest.get(id(node.heap), (0, 0))
                 for child, index in zip((node.left, node.right), reached):
                     assert len(layers(child)) <= index
 
@@ -549,6 +548,31 @@ class TestWobblyCascade:
             capture_output=True, text=True, timeout=120,
         )
         assert out.returncode == 0, out.stderr
+
+
+class TestLayerExtremes:
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("m, n", [(2, 20), (4, 6), (8, 3)])
+    @pytest.mark.parametrize("kind", ("ints in [0, 3)", "negative ints", "reals"))
+    def test_recorded_extremes_hold_through_a_resumed_sweep(self, mode, m, n, kind):
+        """A node reads a layer's max where the selection left it, layer 1's
+        min as its children's first mins summed, and a later min by one
+        reduction: after every query of a resumed sweep, on trees of heights
+        1 to 3, every internal node's recorded extremes are its layers' own."""
+        rng = np.random.default_rng(m * n)
+        draw = {
+            "ints in [0, 3)": lambda: rng.integers(0, 3, n),
+            "negative ints": lambda: rng.integers(-50, 0, n),
+            "reals": lambda: rng.random(n) - 0.5,
+        }[kind]
+        arrays = [draw() for _ in range(m)]
+        tree = build_tree(arrays, TreeConfig(mode=mode))
+        assert tree.height == (m - 1).bit_length()
+        for k in (1, 7, 300, tree.total):
+            # reals are added in another order by the oracle
+            np.testing.assert_allclose(np.sort(tree.select_k(k)), brute_multi(arrays, k), rtol=0, atol=1e-12)
+            for node in tree.internals:
+                assert_one_buffer(node)
 
 
 class TestMemoryPinning:
