@@ -8,17 +8,20 @@ through the recurrence s(1) = 1, s(i+1) = ceil(alpha * s(i)); the final
 layer is truncated so the sizes sum to n exactly.
 
 Every heap is built by lohify and has its layers placed by
-LayerOrderedHeap.place, front first and on demand, by one rule. An input
-that is short for its number of boundaries has every layer as its front,
-which place sorts whole at build. Any other input has its front, the layers
-through the first boundary at or past isqrt(n), cut off the back and placed
-at build. The cut takes a threshold from a strided sample, moves the values
-at or below it to the start in one comparison pass and partitions only
-those; the back waits as one unplaced span, which place splits front-most
-first when a reader asks for a deeper layer. Placing is
+LayerOrderedHeap.place, front first and on demand, by one rule. The layer
+geometry (boundaries, layer starts and lasts, and the front) is computed
+once per rank and length and shared, read-only, by every heap of that
+length. An input that is short for its number of boundaries has every layer
+as its front, which place sorts whole at build. Any other input has its
+front, the layers through the first boundary at or past isqrt(n), cut off
+the back and placed at build. The cut takes a threshold from a strided
+sample, moves the values at or below it to the start in one comparison pass
+and partitions only those; the back waits as one unplaced span, which place
+splits front-most first when a reader asks for a deeper layer. Placing is
 divide and conquer: a span is partitioned in place at the boundary nearest
 its middle and each side is split in turn, and a span holding many
-boundaries for its size is sorted whole. Each level of the recursion moves
+boundaries for its size is sorted whole, so its layers' extremes are the
+values at their first and last positions. Each level of the recursion moves
 at most n values, and a value is moved at about log2(1/(alpha-1)) levels, so
 placing every layer costs O(n max(1, log(1/(alpha-1)))), linear in n for
 fixed alpha, plus the one front cut; a build costs O(n) however large n is.
@@ -46,6 +49,7 @@ import numbers
 import operator
 import sys
 from bisect import bisect_left
+from collections import namedtuple
 from fractions import Fraction
 
 import numpy as np
@@ -85,7 +89,7 @@ def _alpha_fraction(alpha) -> Fraction:
     above 1, such as a tree's parsed rank, comes back as itself: hashing a
     Fraction costs a pow(), and a build would pay it for every input.
     """
-    if type(alpha) is Fraction and alpha > 1:
+    if type(alpha) is Fraction and alpha.numerator > alpha.denominator:
         return alpha
     try:
         hash(alpha)
@@ -147,16 +151,39 @@ def layer_sizes(alpha, n) -> list[int]:
     return sizes
 
 
+_Geometry = namedtuple("_Geometry", "boundaries starts lasts ends front")
+
+
 @functools.lru_cache(maxsize=64)
-def _layer_bounds(num: int, den: int, n: int) -> np.ndarray:
-    """Read-only layer ends for n values at rank num/den, shared by their heaps."""
-    bounds = np.array(list(itertools.accumulate(layer_sizes(Fraction(num, den), n))), dtype=np.int64)
-    bounds.flags.writeable = False
-    return bounds
+def _layer_geometry(num: int, den: int, n: int) -> _Geometry:
+    """The layer geometry of n values at rank num/den, shared by their heaps.
+
+    boundaries, starts and lasts are read-only int64 arrays: layer i+1 holds
+    positions starts[i] through lasts[i] = boundaries[i] - 1. ends is the
+    tuple (0, *boundaries) of Python ints. front is the number of layers
+    lohify places at build: every layer when n is dense for its boundaries,
+    else those through the first boundary at or past isqrt(n).
+    """
+    ends = (0, *itertools.accumulate(layer_sizes(Fraction(num, den), n)))
+    layers = len(ends) - 1
+    front = layers
+    if n > DENSE_SPAN * (layers - 1):
+        front = bisect_left(ends, math.isqrt(n), 1)
+    arrays = np.array((ends[1:], ends[:-1], ends[1:]), dtype=np.int64)
+    arrays[2] -= 1
+    arrays.flags.writeable = False  # before its rows are taken, which inherit it
+    return _Geometry(*arrays, ends, front)
+
+
+_PROFILE = (np.dtype(np.int64), np.dtype(np.float64))
 
 
 def _coerce(values, name: str) -> np.ndarray:
-    """The input in the numeric profile (int64 or float64), float values unscanned."""
+    """The input in the numeric profile (int64 or float64), float values unscanned.
+
+    A one-dimensional, non-empty input already in the profile comes back as
+    itself, so a build's second pass over its inputs only checks their dtype.
+    """
     try:
         arr = np.asarray(values)
     except ValueError:  # numpy refuses ragged nesting
@@ -165,6 +192,8 @@ def _coerce(values, name: str) -> np.ndarray:
         raise ContractError(f"{name} must be one-dimensional, got shape {arr.shape}")
     if arr.size == 0:
         raise EmptyInputError(f"{name} is empty")
+    if arr.dtype in _PROFILE:
+        return arr
     kind = arr.dtype.kind
     if kind == "u":
         if int(arr.max()) > np.iinfo(np.int64).max:
@@ -287,29 +316,31 @@ DENSE_SPAN = 16
 class LayerOrderedHeap:
     """A value array partitioned into ordered layers, placed front first.
 
-    boundaries[i] is the cumulative end offset of layer i+1 (the last entry
-    equals len(values)), as scheduled by the rank alpha, kept as given to
-    lohify, which shares one read-only boundary array between heaps of one
-    length. ends is [0, *boundaries] as Python ints, so layer i holds
+    geometry is the read-only layer geometry that lohify shares between
+    every heap of one rank and length. boundaries, its array of cumulative
+    layer ends, gives the end offset of layer i+1 as boundaries[i] (the last
+    entry equals len(values)), as scheduled by the rank alpha. ends is its
+    tuple (0, *boundaries) of Python ints, so layer i holds
     values[ends[i-1]:ends[i]]. Layers are addressed 1-based to match the
     indices carried by selection tuples.
 
     Layers 1..len(layer_mins) are placed: each holds exactly its rank slice
     of the values, and layer_mins and layer_maxs, lists that grow as layers
-    are placed, hold their extremes, so layer_mins[0] is the heap's min. The
-    values past the last placed layer lie in spans still to be split, held
-    on a stack with the front-most last; a span (a, b) holds layers a+1..b,
+    are placed, hold their extremes, so layer_mins[0] is the heap's min. A
+    span sorted whole records them as the values at its layers' starts and
+    lasts, a one-layer span as the min and max over the layer. The values
+    past the last placed layer lie in spans still to be split, held on a
+    stack with the front-most last; a span (a, b) holds layers a+1..b,
     values[ends[a]:ends[b]], and place(i) splits them. Every heap is made
     by lohify, which places its front and sets hi, its greatest value.
     """
 
-    def __init__(self, values, boundaries, alpha, spans):
+    def __init__(self, values, geometry, alpha, spans):
         self.values = values
-        self.boundaries = boundaries
+        self.geometry = geometry
+        self.boundaries = geometry.boundaries
+        self.ends = geometry.ends
         self.alpha = alpha
-        self.ends = [0, *boundaries.tolist()]
-        self._starts = starts = np.zeros(len(boundaries), dtype=np.int64)
-        starts[1:] = boundaries[:-1]
         self._spans = spans
         self.layer_mins: list = []
         self.layer_maxs: list = []
@@ -340,12 +371,16 @@ class LayerOrderedHeap:
                     spans.append((j, b))
                     spans.append((a, j))
                     continue
-                if b - a > 1:
-                    work[lo:hi].sort()
                 # layers a+1..b are placed: record their extremes
-                head, starts = work[:hi], self._starts[a:b]
-                self.layer_mins += np.minimum.reduceat(head, starts).tolist()
-                self.layer_maxs += np.maximum.reduceat(head, starts).tolist()
+                if b - a > 1:  # sorted whole, so each layer's are at its ends
+                    work[lo:hi].sort()
+                    geometry = self.geometry
+                    self.layer_mins += work[geometry.starts[a:b]].tolist()
+                    self.layer_maxs += work[geometry.lasts[a:b]].tolist()
+                else:
+                    layer = work[lo:hi]
+                    self.layer_mins.append(layer.min().item())
+                    self.layer_maxs.append(layer.max().item())
         finally:
             work.flags.writeable = False
 
@@ -392,17 +427,19 @@ def _cut_front(work: np.ndarray, cut: int) -> None:
 def lohify(values, alpha=DEFAULT_ALPHA) -> LayerOrderedHeap:
     """Build a layer-ordered heap over values, placing only its front.
 
-    The input is copied once and never written. Its front is every layer
-    when the copy is dense for its layer boundaries, so it is sorted whole.
-    Any other copy has the front through the first boundary at or past
-    isqrt(n) cut from it by _cut_front, which partitions only the values
-    at or below a sampled threshold, and the layers of that front are
-    placed by divide and conquer: a span is partitioned at the boundary
-    nearest its middle and both sides are split in turn, until a span holds
-    no boundary or is dense enough to sort whole. The back stays one unplaced span until place()
-    asks for its layers. Each level of the recursion moves at most
-    len(values) elements, so placing every layer costs
-    O(n max(1, log(1/(alpha-1)))). The values end up read-only.
+    The input is copied once and never written. The front, the layers
+    placed here, is read from the geometry shared by every heap of this
+    rank and length: every layer when the copy is dense for its layer
+    boundaries, so it is sorted whole. Any other copy has the front through
+    the first boundary at or past isqrt(n) cut from it by _cut_front, which
+    partitions only the values at or below a sampled threshold, and the
+    layers of that front are placed by divide and conquer: a span is
+    partitioned at the boundary nearest its middle and both sides are split
+    in turn, until a span holds no boundary or is dense enough to sort
+    whole. The back stays one unplaced span until place() asks for its
+    layers. Each level of the recursion moves at most len(values) elements,
+    so placing every layer costs O(n max(1, log(1/(alpha-1)))). The values
+    end up read-only.
 
     Values must be finite. They are not scanned up front: NaN and +inf order
     last and -inf first, so check_finite finds them in the first layer's
@@ -413,23 +450,17 @@ def lohify(values, alpha=DEFAULT_ALPHA) -> LayerOrderedHeap:
         work = arr.copy()
     except MemoryError:
         raise _out_of_memory(arr.size, arr.dtype, "a heap's working copy") from None
-    n = len(work)
     frac = _alpha_fraction(alpha)
-    bounds = _layer_bounds(frac.numerator, frac.denominator, n)
-    layers = len(bounds)
-    # the front is layers 1..front: all of a dense copy, which place sorts
-    # whole, else up to the first ending at or past isqrt(n)
-    front = layers
-    if n > DENSE_SPAN * (layers - 1):
-        front = int(np.searchsorted(bounds, math.isqrt(n))) + 1
+    geometry = _layer_geometry(frac.numerator, frac.denominator, work.size)
+    front, layers = geometry.front, len(geometry.ends) - 1
     spans = [(0, layers)]
     if front < layers:
-        _cut_front(work, int(bounds[front - 1]))
+        _cut_front(work, geometry.ends[front])
         spans = [(front, layers), (0, front)]
-    heap = LayerOrderedHeap(work, bounds, alpha, spans)
+    heap = LayerOrderedHeap(work, geometry, alpha, spans)
     heap.place(front)  # which leaves the values read-only
     # the greatest value, NaN if any, lies in the last layer or the unplaced back
-    heap.hi = heap.layer_maxs[-1] if front == layers else work[heap.ends[front] :].max().item()
+    heap.hi = heap.layer_maxs[-1] if front == layers else work[geometry.ends[front] :].max().item()
     check_finite(heap.layer_mins[0], heap.hi, "input")
     return heap
 
@@ -438,7 +469,9 @@ def verify_loh(heap: LayerOrderedHeap) -> bool:
     """Check the whole heap: scheduled boundaries, ordered layers, recorded extremes.
 
     Every layer is placed first, so a heap that lohify placed only in part
-    is checked layer by layer all the same.
+    is checked layer by layer all the same. The layers' extremes are taken
+    here by a reduction over each layer, not read from the shared geometry
+    or at layer ends, so the check does not lean on how place recorded them.
     """
     vals = np.asarray(heap.values)
     bounds = np.asarray(heap.boundaries)
@@ -451,7 +484,8 @@ def verify_loh(heap: LayerOrderedHeap) -> bool:
     if not np.array_equal(bounds, np.cumsum(sizes)):
         return False
     heap.place(len(bounds))
-    mins = np.minimum.reduceat(vals, heap._starts)
-    maxs = np.maximum.reduceat(vals, heap._starts)
+    starts = bounds - sizes
+    mins = np.minimum.reduceat(vals, starts)
+    maxs = np.maximum.reduceat(vals, starts)
     recorded = heap.layer_mins == mins.tolist() and heap.layer_maxs == maxs.tolist()
     return recorded and bool(np.all(maxs[:-1] <= mins[1:]))

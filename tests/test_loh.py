@@ -485,8 +485,9 @@ class TestLohify:
             assert not np.shares_memory(heap.values, vals)
 
     def test_equal_lengths_share_one_schedule(self, monkeypatch):
-        """Heaps of one length and rank share one read-only boundary array,
-        scheduled once: 256 equal-length inputs call layer_sizes once."""
+        """Heaps of one length and rank share one read-only geometry record,
+        scheduled once: 256 equal-length inputs call layer_sizes once, and
+        every heap reads the same boundaries, starts, lasts and ends."""
         calls = []
 
         def spy(alpha, n):
@@ -494,13 +495,21 @@ class TestLohify:
             return layer_sizes(alpha, n)
 
         monkeypatch.setattr(loh_mod, "layer_sizes", spy)
-        loh_mod._layer_bounds.cache_clear()
+        loh_mod._layer_geometry.cache_clear()
         rng = np.random.default_rng(20)
         tree = build_tree([rng.integers(0, 100, size=37) for _ in range(256)])
         assert calls == [37]
         heaps = [leaf.loh for leaf in tree.leaves]
-        assert all(heap.boundaries is heaps[0].boundaries for heap in heaps)
-        assert not heaps[0].boundaries.flags.writeable
+        geometry = heaps[0].geometry
+        assert all(heap.geometry is geometry for heap in heaps)
+        assert all(heap.boundaries is geometry.boundaries and heap.ends is geometry.ends for heap in heaps)
+        bounds = np.cumsum(layer_sizes(1.1, 37)).tolist()
+        assert geometry.ends == (0, *bounds) and geometry.boundaries.tolist() == bounds
+        assert geometry.starts.tolist() == [0, *bounds[:-1]]
+        assert geometry.lasts.tolist() == [b - 1 for b in bounds]
+        for array in (geometry.boundaries, geometry.starts, geometry.lasts):
+            assert not array.flags.writeable
+        assert geometry.front == len(bounds)  # 37 values are dense: all placed at build
         assert all(verify_loh(heap) for heap in heaps)
 
     def test_deterministic(self):
