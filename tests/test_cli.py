@@ -2,10 +2,13 @@
 
 import csv
 import io
+import math
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cartsel.cli as cli
 from cartsel.errors import (
@@ -16,6 +19,7 @@ from cartsel.errors import (
     ParseError,
     ResourceLimitError,
 )
+from cartsel.loh import as_value_arrays
 from cartsel.oracle import brute_multi
 
 
@@ -142,6 +146,112 @@ class TestInstanceFiles:
         back = cli.read_instance(path)
         for a, b in zip(arrays, back):
             np.testing.assert_array_equal(a, b)
+
+
+def read_instance_by_token(path):
+    """The reference parser: every token read on its own, as an int, else
+    as a float, the first bad one raising a ParseError that names it."""
+    rows = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, 1):
+            body = line.strip()
+            if not body or body.startswith("#"):
+                continue
+            values = []
+            for tok in body.split():
+                try:
+                    v = int(tok)
+                except ValueError:
+                    pass
+                else:
+                    if not -(2**63) <= v < 2**63:
+                        raise ParseError(
+                            f"line {line_no}: integer {tok!r} is outside the int64 range", line_no
+                        )
+                    values.append(v)
+                    continue
+                try:
+                    x = float(tok)
+                except ValueError:
+                    raise ParseError(f"line {line_no}: cannot read value {tok!r}", line_no)
+                if not math.isfinite(x):
+                    raise ParseError(f"line {line_no}: non-finite value {tok!r}", line_no)
+                values.append(x)
+            rows.append(values)
+    if not rows:
+        raise ParseError("no arrays found in instance file")
+    return as_value_arrays(rows)
+
+
+# Tokens at the edges of both readings: int64's ends and one past them, -0
+# and -0.0, floats at and past 2**63, forms int() and float() both take
+# (signs, underscores, non-ASCII digits, padding-free exponents), non-finite
+# spellings and junk.
+EDGE_TOKENS = st.sampled_from(
+    (
+        "0", "-0", "+5", "1_000", "\u0661\u0662", "-0.0", "0.0", "1e3", "1E-5", "1.5",
+        str(2**63 - 1), str(2**63), str(-(2**63)), str(-(2**63) - 1), str(2**53 + 1),
+        "9.223372036854775807e18", "9223372036854775807.0", "1e19", "-1e19", "1e400",
+        "nan", "-nan", "inf", "-Infinity", "x", "1.2.3", "0x10", "1__0", "True", "--1",
+    )
+)
+TOKENS = st.one_of(
+    EDGE_TOKENS,
+    st.integers(-(2**64), 2**64).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.text(alphabet="0123456789+-._eE", min_size=1, max_size=6),
+)
+LINES = st.one_of(
+    st.lists(TOKENS, min_size=1, max_size=6).map(" ".join),
+    st.lists(st.integers(-(2**63), 2**63 - 1).map(str), min_size=1, max_size=6).map(" ".join),
+    st.lists(st.floats(allow_nan=False, allow_infinity=False).map(repr), min_size=1, max_size=6)
+    .map(" ".join),
+    st.sampled_from(("", "# note", "  ")),
+)
+
+
+class TestLineParser:
+    @settings(max_examples=400, deadline=None, database=None, derandomize=True)
+    @given(lines=st.lists(LINES, min_size=1, max_size=4))
+    def test_matches_the_token_by_token_reader(self, tmp_path_factory, lines):
+        """Reading each line with one numpy call gives what reading every
+        token on its own gives: the same arrays, bit for bit and dtype for
+        dtype, or the same error with the same text and line number."""
+        path = tmp_path_factory.mktemp("lines") / "inst.txt"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        outcomes = []
+        for read in (read_instance_by_token, cli.read_instance):
+            try:
+                arrays = read(path)
+            except ParseError as err:
+                outcomes.append(("error", str(err), err.line_no))
+            else:
+                outcomes.append([(a.dtype.str, a.tobytes()) for a in arrays])
+        assert outcomes[1] == outcomes[0]
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("1.5 9223372036854775808", "integer '9223372036854775808' is outside the int64 range"),
+            ("-9223372036854775809 0.5", "integer '-9223372036854775809' is outside the int64 range"),
+            ("0.5 nan 1", "non-finite value 'nan'"),
+            ("0.5 1e400", "non-finite value '1e400'"),
+            ("0.5 x 1e400", "cannot read value 'x'"),
+        ],
+    )
+    def test_a_float_line_refuses_what_the_token_reader_refuses(self, tmp_path, line, message):
+        path = tmp_path / "inst.txt"
+        path.write_text(f"1 2\n{line}\n")
+        with pytest.raises(ParseError) as err:
+            cli.read_instance(path)
+        assert str(err.value) == f"line 2: {message}" and err.value.line_no == 2
+
+    def test_integer_minus_zero_on_a_float_line_reads_as_zero(self, tmp_path):
+        """int("-0") is 0, so a float line's -0 is +0.0, and its -0.0 stays -0.0."""
+        path = tmp_path / "inst.txt"
+        path.write_text("-0 0.5 -0.0\n")
+        row = cli.read_instance(path)[0]
+        assert row.dtype == np.float64 and np.signbit(row).tolist() == [False, False, True]
 
 
 class TestGen:

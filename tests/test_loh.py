@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -405,6 +406,24 @@ class TestPartitionByValue:
     def test_nan_bound_rejected(self):
         with pytest.raises(ContractError):
             partition_by_value(np.array([1.0, 2.0]), float("nan"))
+
+    @pytest.mark.parametrize("bound", (2, 2.5, np.int64(2), np.float32(2.5), np.array(2)))
+    def test_scalar_bounds_accepted(self, bound):
+        head, tail = partition_by_value(np.array([3, 1, 2, 4], dtype=np.int64), bound)
+        np.testing.assert_array_equal(np.sort(head), [1, 2])
+        np.testing.assert_array_equal(np.sort(tail), [3, 4])
+
+    @pytest.mark.parametrize(
+        "bound", ("2", None, [2], np.array([2.0]), np.array([1, 2]), 1j, 10**400),
+        ids=("str", "None", "list", "one-value array", "array", "complex", "huge int"),
+    )
+    def test_non_scalar_bounds_rejected(self, bound):
+        """The NaN check takes a real scalar: anything else, an array of one
+        value included, is refused with a ContractError and warns of nothing."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ContractError, match="^bound must be numeric, got "):
+                partition_by_value(np.array([1.0, 2.0]), bound)
 
     def test_two_dimensional_rejected(self):
         with pytest.raises(ContractError):

@@ -25,7 +25,7 @@ def make_state(a, b, mode="standard", alpha=1.1):
 
 
 def heap_refs(state):
-    return {(u, v, not is_min) for _, is_min, u, v in state.heap}
+    return {(u, v, kind == MAX) for _, kind, _, u, v in state.heap}
 
 
 class _OnePop(list):
@@ -60,35 +60,51 @@ def drain(state, targets):
 
 
 class TestTupleOrder:
-    """Heap entries are plain (value, is_min, u, v) tuples ordered as tuples."""
+    """Heap entries are plain (value, kind, shell, u, v) tuples ordered as
+    tuples; shell is max(u, v) on a min tuple and 0 on a max tuple."""
 
     def test_value_dominates(self):
-        low = (4, False, 9, 9)
-        high = (5, True, 1, 1)
+        low = (4, PRICED, 9, 9, 9)
+        high = (5, MAX, 0, 1, 1)
         assert low < high
         assert not high < low
 
     def test_max_pops_before_min_at_equal_value(self):
         """At a tied value the max tuple pops first and certifies its product."""
-        mn = (5, True, 1, 1)
-        mx = (5, False, 1, 2)
+        mn = (5, PRICED, 1, 1, 1)
+        mx = (5, MAX, 0, 1, 2)
         assert mx < mn
-        assert not mx[1] and mn[1]
+        assert mx[1] == MAX < mn[1]
+
+    def test_priced_pops_before_unpriced_at_equal_value(self):
+        assert (5, PRICED, 9, 9, 1) < (5, UNPRICED, 1, 1, 1)
+
+    def test_smaller_shell_breaks_a_tie(self):
+        """Among tied min tuples of one kind the smaller square shell
+        max(u, v) pops first, so a tie band grows as a square instead of
+        running one row across the right child's layers; (u, v) breaks the
+        ties left."""
+        assert (5, PRICED, 2, 2, 2) < (5, PRICED, 3, 1, 3)
+        assert (5, UNPRICED, 2, 2, 1) < (5, UNPRICED, 3, 1, 3)
 
     def test_refs_break_remaining_ties(self):
-        a = (5, True, 1, 2)
-        b = (5, True, 2, 1)
+        a = (5, PRICED, 3, 1, 3)
+        b = (5, PRICED, 3, 3, 1)
         assert a < b
         assert a == a and not a < a
+        assert (5, MAX, 0, 1, 3) < (5, MAX, 0, 2, 2)
 
     def test_heap_respects_order(self):
         tuples = [
-            (6, False, 1, 1),
-            (5, True, 1, 1),
-            (5, False, 2, 1),
+            (6, MAX, 0, 1, 1),
+            (5, PRICED, 1, 1, 1),
+            (5, MAX, 0, 2, 1),
+            (5, PRICED, 3, 1, 3),
+            (5, PRICED, 2, 2, 1),
         ]
         heapq.heapify(tuples)
-        assert heapq.heappop(tuples) == (5, False, 2, 1)
+        popped = [heapq.heappop(tuples) for _ in range(5)]
+        assert [t[3:] for t in popped] == [(2, 1), (1, 1), (2, 1), (1, 3), (1, 1)]
 
 
 class TestExpandMin:
@@ -98,7 +114,7 @@ class TestExpandMin:
         exposes no child layer."""
         state = make_state([1, 2, 3, 4, 5, 6], [1, 2, 3, 4, 5, 6])
         assert pop_one(state) == 0
-        assert state.heap == [(2, PRICED, 1, 1)]
+        assert state.heap == [(2, PRICED, 1, 1, 1)]
         assert (len(layers(state.left)), len(layers(state.right))) == (1, 1)
         assert pop_one(state) == 0
         assert heap_refs(state) == {(1, 1, True), (1, 2, False), (2, 1, False)}
@@ -115,11 +131,11 @@ class TestExpandMin:
             state.heap.clear()
             state.left.ensure(2)
             state.right.ensure(exposed)
-            state.expand_min((0, PRICED, 2, 3))
+            state.expand_min((0, PRICED, 3, 2, 3))
             assert heap_refs(state) == {(2, 3, True), (2, 4, False)}
             assert [t[1] for t in state.heap if t[1] != MAX] == [kind]
             assert (len(layers(state.left)), len(layers(state.right))) == (2, exposed)
-        assert (state.left.mins[1] + state.right.mins[3], PRICED, 2, 4) in state.heap
+        assert (state.left.mins[1] + state.right.mins[3], PRICED, 4, 2, 4) in state.heap
 
     def test_proposals_past_last_layer_go_in_unpriced(self):
         """A node learns that a child has no such layer only when the
@@ -135,10 +151,10 @@ class TestExpandMin:
             state.heap.clear()
             state.left.ensure(u)
             state.right.ensure(v)
-            state.expand_min((0, PRICED, u, v))
+            state.expand_min((0, PRICED, max(u, v), u, v))
             assert heap_refs(state) == refs
             assert {t[1] for t in state.heap if t[1] != MAX} == {UNPRICED}
-            past = [t for t in state.heap if max(t[2:]) > n]
+            past = [t for t in state.heap if max(t[3:]) > n]
             assert len(past) == 1
             generated = state.values_generated
             state.heap = past
@@ -159,7 +175,7 @@ class TestExpandMin:
         state = make_state([1, 2, 3, 4, 5, 6], [10, 20, 30, 40, 50, 60])
         state.left.ensure(2)
         state.right.ensure(2)
-        state.expand_min((0, True, 2, 2))
+        state.expand_min((0, PRICED, 2, 2, 2))
         assert state.values_generated == 4
         assert state.generate_next_layer(1).tolist() == [11]
         np.testing.assert_array_equal(pools, [[11, 22, 23, 32, 33]])
@@ -178,7 +194,7 @@ class TestProposals:
         pushed, unpriced = [], []
 
         def record(heap, item):
-            _, kind, u, v = item
+            _, kind, _, u, v = item
             if kind == PRICED:
                 pushed.append((id(heap), u, v))
             elif kind == UNPRICED:
@@ -437,7 +453,7 @@ class TestGenerateNextLayer:
         lends, rends = state.left.ends, state.right.ends
         closed = [
             (value, (lends[u] - lends[u - 1]) * (rends[v] - rends[v - 1]))
-            for value, kind, u, v in popped
+            for value, kind, _, u, v in popped
             if kind == MAX
         ]
         assert closed and state.ends == [0]
@@ -448,6 +464,45 @@ class TestGenerateNextLayer:
         np.testing.assert_array_equal(
             np.sort(np.concatenate(layers)), brute_pairwise(a, b, a.size * b.size)
         )
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_a_heap_that_cannot_grow_is_a_typed_error(self, monkeypatch, mode):
+        """A push onto a node's heap failing with MemoryError raises
+        ResourceLimitError naming the heap's entries and the bytes of their
+        slots, not a bare MemoryError. s, tuple_pops and last_max_value count
+        every pop made before it, the one whose expansion failed too, and
+        values_generated every product counted into the carry."""
+        popped, pushes = [], []
+        record_pops(monkeypatch, lambda heap: popped.append(heap[0]))
+        heappush = pairwise_mod.heapq.heappush
+
+        def fail_once(heap, item):
+            pushes.append(item)
+            if len(pushes) == 40:
+                raise MemoryError
+            heappush(heap, item)
+
+        monkeypatch.setattr(pairwise_mod.heapq, "heappush", fail_once)
+        a, b = np.arange(40), np.arange(0, 80, 2)
+        state = make_state(a, b, mode)
+        with pytest.raises(ResourceLimitError) as err:
+            state.generate_next_layer(a.size * b.size)
+        entries = len(state.heap) + 1
+        assert str(err.value) == (
+            f"out of memory for a node's heap: {entries} values, {8 * entries} bytes"
+        )
+        lends, rends = state.left.ends, state.right.ends
+
+        def size(u, v):
+            return (lends[u] - lends[u - 1]) * (rends[v] - rends[v - 1])
+
+        closed = [(value, size(u, v)) for value, kind, _, u, v in popped if kind == MAX]
+        expanded = [size(u, v) for _, kind, _, u, v in popped if kind == PRICED]
+        assert closed and state.ends == [0] and len(pushes) == 40
+        assert state.tuple_pops == len(popped)
+        assert state.s == sum(size for _, size in closed)
+        assert state.last_max_value == closed[-1][0]
+        assert state.values_generated == state.carry_count == sum(expanded)
 
     def test_bad_target_rejected(self):
         state = make_state([1, 2], [3, 4])

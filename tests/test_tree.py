@@ -64,7 +64,7 @@ class TestBuildTree:
         extreme is read, until a query pops it."""
         tree = build_tree(seeded_arrays(1, 6, 8))
         for node in tree.internals:
-            assert node.heap == [(-math.inf, UNPRICED, 1, 1)]
+            assert node.heap == [(-math.inf, UNPRICED, 1, 1, 1)]
             assert layers(node) == []
         assert all(layers(leaf) == [] for leaf in tree.leaves)
 
@@ -349,8 +349,8 @@ class TestWorkIsPinned:
         [
             ("random", "standard", 1293, 242, 21),
             ("random", "wobbly", 2684, 179, 19),
-            ("ties", "standard", 598, 137, 15),
-            ("ties", "wobbly", 564, 119, 14),
+            ("ties", "standard", 592, 138, 14),
+            ("ties", "wobbly", 588, 127, 13),
         ],
     )
     def test_values_generated_and_pops(self, name, mode, generated, pops, exposed):
@@ -394,7 +394,7 @@ class TestLaziness:
         expand = PairwiseState.expand_min
 
         def expand_min(state, t):
-            _, _, u, v = t
+            _, _, _, u, v = t
             left, right = deepest.get(id(state), (0, 0))
             deepest[id(state)] = (max(left, u), max(right, v))
             expand(state, t)
@@ -422,7 +422,7 @@ class TestLaziness:
         deepest = {}
 
         def record(heap):
-            _, _, u, v = heap[0]
+            _, _, _, u, v = heap[0]
             left, right = deepest.get(id(heap), (0, 0))
             deepest[id(heap)] = (max(left, u), max(right, v))
 
@@ -550,14 +550,30 @@ class TestWobblyCascade:
         assert out.returncode == 0, out.stderr
 
 
+class TestTieBands:
+    @pytest.mark.parametrize("mode, generated", [("standard", 1104), ("wobbly", 1125)])
+    def test_a_tie_band_pulls_both_children_evenly(self, mode, generated):
+        """On 4 x 64 zeros every sum ties, so only the heap's tie order picks
+        the products a query expands. The smaller square shell max(u, v)
+        pops first, so the root's band grows as a square and its children
+        emit 36 values each; ordered by (u, v) alone, row 1 would run across
+        the right child's layers and pull about a thousand values from it."""
+        tree = build_tree([np.zeros(64, dtype=np.int64)] * 4, TreeConfig(mode=mode))
+        answer = tree.select_k(1024)
+        assert answer.size == 1024 and (answer == 0).all()
+        root = tree.root
+        assert (root.left.ends[-1], root.right.ends[-1]) == (36, 36)
+        assert tree.stats().values_generated == generated
+
+
 class TestLayerExtremes:
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("m, n", [(2, 20), (4, 6), (8, 3)])
     @pytest.mark.parametrize("kind", ("ints in [0, 3)", "negative ints", "reals"))
     def test_recorded_extremes_hold_through_a_resumed_sweep(self, mode, m, n, kind):
         """A node reads a layer's max where the selection left it, layer 1's
-        min as its children's first mins summed, and a later min by one
-        reduction: after every query of a resumed sweep, on trees of heights
+        min as its children's first mins summed, and a later min at its
+        argmin: after every query of a resumed sweep, on trees of heights
         1 to 3, every internal node's recorded extremes are its layers' own."""
         rng = np.random.default_rng(m * n)
         draw = {
@@ -815,9 +831,9 @@ class TestExhaustion:
         expanded, past = [], set()
 
         def expand_min(state, t):
-            expanded.append(t[2:])
+            expanded.append(t[3:])
             expand(state, t)
-            past.update(e for e in state.heap if e[2] > rows or e[3] > cols)
+            past.update(e for e in state.heap if e[3] > rows or e[4] > cols)
 
         monkeypatch.setattr(PairwiseState, "expand_min", expand_min)
         layers = drain(parent)
