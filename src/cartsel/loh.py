@@ -15,8 +15,10 @@ length. An input that is short for its number of boundaries has every layer
 as its front, which place sorts whole at build. Any other input has its
 front, the layers through the first boundary at or past isqrt(n), cut off
 the back and placed at build. The cut takes a threshold from a strided
-sample, moves the values at or below it to the start in one comparison pass
-and partitions only those; the back waits as one unplaced span, which place
+sample of the input, copies the input in one pass of BLOCK-value blocks
+that also takes its max and finds the values at or below the threshold,
+with no mask of the input's size, moves those to the start and partitions
+only them; the back waits as one unplaced span, which place
 splits front-most first when a reader asks for a deeper layer. Placing is
 divide and conquer: a span is partitioned in place at the boundary nearest
 its middle and each side is split in turn, and a span holding many
@@ -392,38 +394,52 @@ class LayerOrderedHeap:
 # a stride: about twice the front's share plus a margin for sampling noise.
 # Gathering over max(SAMPLE, n / GATHER_SHARE) values at or below tau, as
 # heavy ties can make them, would cost more than cutting the whole input.
+# The copy, max and gather run BLOCK values at a time, so each block is
+# compared while it is still in cache.
 SAMPLE = 4096
 SAMPLE_MARGIN = 8
 GATHER_SHARE = 16
+BLOCK = 1 << 15
 
 
-def _cut_front(work: np.ndarray, cut: int) -> None:
-    """Partition work in place so that its cut smallest values come first.
+def _copy_cut_front(arr: np.ndarray, work: np.ndarray, cut: int):
+    """Copy arr into work, partition work so its cut smallest values come
+    first, and return the greatest value, NaN if any, as a Python scalar.
 
-    The c values <= tau are gathered into work[:c] by swapping each one past
-    c with a value > tau before c (min(c, n - c) swaps at most), and only
-    work[:c] is partitioned; all of work is, with no mask, when the sample's
-    share at or below tau predicts too many, or when c is under cut (0 for a
-    NaN tau) or too large. NaN and +inf are never <= a finite tau.
+    tau is read off arr's strided sample. One pass over arr, a block at a
+    time, copies each block into work, takes its max and records the
+    positions of its c values <= tau, which are then gathered into work[:c]
+    by swapping each one past c with a value > tau before c (min(c, n - c)
+    swaps at most), and only work[:c] is partitioned; all of work is when
+    the sample's share at or below tau predicts too many, or when c is under
+    cut (0 for a NaN tau) or too large, in which case recording stops as
+    soon as c passes the limit. NaN and +inf are never <= a finite tau.
     """
-    n = work.size
-    sample = work[:: max(1, n // SAMPLE)]
+    n = arr.size
+    sample = arr[:: max(1, n // SAMPLE)]
     rank = min(sample.size - 1, 2 * cut * sample.size // n + SAMPLE_MARGIN)
-    sample = np.partition(sample, rank)  # a copy: work keeps its order
-    tau, most, c = sample[rank], max(SAMPLE, n // GATHER_SHARE), n
-    if np.count_nonzero(sample <= tau) * n <= most * sample.size:
-        try:
-            mask = work <= tau
-        except MemoryError:
-            raise _out_of_memory(n, np.bool_, "a front mask") from None
-        c = int(np.count_nonzero(mask))
-        if not cut <= c <= most:
-            c = n
-        else:
-            back, late = work[c:], np.flatnonzero(mask[c:])
-            early = np.flatnonzero(np.logical_not(mask[:c], out=mask[:c]))  # no second mask
-            work[early], back[late] = back[late], work[early]
+    sample = np.partition(sample, rank)  # a copy: arr is never written
+    tau, most = sample[rank], max(SAMPLE, n // GATHER_SHARE)
+    # past most from the start when the sample predicts too many: nothing is recorded
+    c = 0 if np.count_nonzero(sample <= tau) * n <= most * sample.size else most + 1
+    below, found, his = np.empty(min(n, BLOCK), np.bool_), [], []
+    for a in range(0, n, BLOCK):
+        block = work[a : a + BLOCK]
+        np.copyto(block, arr[a : a + BLOCK])
+        his.append(block.max())
+        if c <= most:
+            found.append(np.flatnonzero(np.less_equal(block, tau, out=below[: block.size])) + a)
+            c += found[-1].size
+    if not cut <= c <= most:
+        c = n
+    else:
+        at = np.concatenate(found)
+        split, keep = np.searchsorted(at, c), np.ones(c, np.bool_)
+        keep[at[:split]] = False
+        early, late = np.flatnonzero(keep), at[split:]
+        work[early], work[late] = work[late], work[early]
     work[:c].partition(cut - 1)
+    return np.max(his).item()  # NaN if any block's max is
 
 
 def lohify(values, alpha=DEFAULT_ALPHA) -> LayerOrderedHeap:
@@ -431,38 +447,42 @@ def lohify(values, alpha=DEFAULT_ALPHA) -> LayerOrderedHeap:
 
     The input is copied once and never written. The front, the layers
     placed here, is read from the geometry shared by every heap of this
-    rank and length: every layer when the copy is dense for its layer
-    boundaries, so it is sorted whole. Any other copy has the front through
-    the first boundary at or past isqrt(n) cut from it by _cut_front, which
-    partitions only the values at or below a sampled threshold, and the
-    layers of that front are placed by divide and conquer: a span is
-    partitioned at the boundary nearest its middle and both sides are split
-    in turn, until a span holds no boundary or is dense enough to sort
-    whole. The back stays one unplaced span until place() asks for its
-    layers. Each level of the recursion moves at most len(values) elements,
-    so placing every layer costs O(n max(1, log(1/(alpha-1)))). The values
-    end up read-only.
+    rank and length: every layer when the input is dense for its layer
+    boundaries, so its copy is sorted whole. Any other input is copied by
+    _copy_cut_front in one blocked pass that also takes its max and gathers
+    the values at or below a sampled threshold, so that only they are
+    partitioned to cut the front through the first boundary at or past
+    isqrt(n); no mask of the input's size is made. The layers of that front
+    are placed by divide and conquer: a span is partitioned at the boundary
+    nearest its middle and both sides are split in turn, until a span holds
+    no boundary or is dense enough to sort whole. The back stays one
+    unplaced span until place() asks for its layers. Each level of the
+    recursion moves at most len(values) elements, so placing every layer
+    costs O(n max(1, log(1/(alpha-1)))). The values end up read-only.
 
     Values must be finite. They are not scanned up front: NaN and +inf order
     last and -inf first, so check_finite finds them in the first layer's
-    min and in hi, the max of the back (or of the last layer) taken at build.
+    min and in hi, the max of the last layer or the one the pass took.
     """
     arr = _coerce(values, "values")
-    try:
-        work = arr.copy()
+    frac = _alpha_fraction(alpha)
+    geometry = _layer_geometry(frac.numerator, frac.denominator, arr.size)
+    front, layers = geometry.front, len(geometry.ends) - 1
+    try:  # np.empty, not empty_like: a reversed view's copy must be contiguous too
+        work = arr.copy() if front == layers else np.empty(arr.size, arr.dtype)
     except MemoryError:
         raise _out_of_memory(arr.size, arr.dtype, "a heap's working copy") from None
-    frac = _alpha_fraction(alpha)
-    geometry = _layer_geometry(frac.numerator, frac.denominator, work.size)
-    front, layers = geometry.front, len(geometry.ends) - 1
     spans = [(0, layers)]
     if front < layers:
-        _cut_front(work, geometry.ends[front])
+        try:
+            hi = _copy_cut_front(arr, work, geometry.ends[front])
+        except MemoryError:  # the positions recorded: at most a gather's worth and a block
+            most = max(SAMPLE, arr.size // GATHER_SHARE) + BLOCK
+            raise _out_of_memory(most, np.intp, "a front's positions") from None
         spans = [(front, layers), (0, front)]
     heap = LayerOrderedHeap(work, geometry, alpha, spans)
     heap.place(front)  # which leaves the values read-only
-    # the greatest value, NaN if any, lies in the last layer or the unplaced back
-    heap.hi = heap.layer_maxs[-1] if front == layers else work[geometry.ends[front] :].max().item()
+    heap.hi = heap.layer_maxs[-1] if front == layers else hi
     check_finite(heap.layer_mins[0], heap.hi, "input")
     return heap
 

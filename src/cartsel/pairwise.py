@@ -70,7 +70,7 @@ import math
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, ResourceLimitError
 from .loh import DEFAULT_ALPHA, as_count, layer_size_schedule, linear_select, partition_by_value
 from .loh import _out_of_memory
 
@@ -97,7 +97,11 @@ class PairwiseState:
     returned None it returns None on every call. values[:written] holds the
     layers, then the carry, the written values not yet emitted; rows maps
     each row with expanded but unwritten products to its column run
-    [v0, v1], written at the next emission. carry_count counts both. state,
+    [v0, v1], written at the next emission. carry_count counts both.
+    failure is None until a push onto the heap fails; it then names that
+    failure, and the node, whose heap may lack a tuple, is spent: every
+    later generate_next_layer, so every ensure that needs a new layer,
+    raises ResourceLimitError. The layers emitted before stay exact. state,
     the node itself, is kept only for the benchmark's tracer.
     """
 
@@ -126,6 +130,7 @@ class PairwiseState:
         self.last_max_value = None
         self.values_generated = 0
         self.tuple_pops = 0
+        self.failure = None
 
     # perfbench/tracer.py walks node.state.left/.right; ROADMAP item 3,
     # which gives the tracer per-node records to read, deletes this alias
@@ -173,7 +178,7 @@ class PairwiseState:
         last_max_value are written back even if a child raises. An unpriced
         tuple is replaced at the top by its priced one in one heap operation:
         tuples are distinct, so that pops in the order a pop and a push would.
-        A heap that cannot grow raises ResourceLimitError; the node is spent.
+        A heap that cannot grow raises ResourceLimitError and spends the node.
         """
         heap, left, right = self.heap, self.left, self.right
         lends, rends, lmins, rmins = left.ends, right.ends, left.mins, right.mins
@@ -196,7 +201,9 @@ class PairwiseState:
                 else:
                     pop(heap)
         except MemoryError:  # the heap's own growth: every other allocation is typed by its owner
-            raise _out_of_memory(len(heap) + 1, object, "a node's heap") from None
+            error = _out_of_memory(len(heap) + 1, object, "a node's heap")
+            self.failure = str(error)
+            raise error from None
         finally:
             self.s += closed
             self.tuple_pops += pops
@@ -256,6 +263,8 @@ class PairwiseState:
         overshoot would compound exponentially along the value stream.
         """
         target = as_count(target, 1, math.inf, "layer target")
+        if self.failure is not None:
+            raise ResourceLimitError(f"{self.label} is spent by an earlier failure: {self.failure}")
         if self.mode == "standard":
             self._certify(target - self.s)
             if self.carry_count == 0:

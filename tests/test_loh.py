@@ -651,10 +651,11 @@ class TestSampledFrontCut:
         sampled = np.flatnonzero(_sampled_positions(n))
         vals[sampled if every else sampled[len(sampled) // 2]] = bad
         cut = 2 * math.isqrt(n)
-        work = vals.copy()
-        loh_mod._cut_front(work, cut)
+        work = np.empty_like(vals)
+        hi = loh_mod._copy_cut_front(vals, work, cut)
         np.testing.assert_array_equal(np.sort(work[:cut]), np.sort(vals)[:cut])
         np.testing.assert_array_equal(np.sort(work), np.sort(vals))
+        assert hi == np.max(vals) or math.isnan(hi) and math.isnan(bad)
         with pytest.raises(InvalidValueError):
             lohify(vals)
 
@@ -705,6 +706,152 @@ class TestSampledFrontCut:
         assert len(heap.layer_mins) < heap.boundaries.size
         kept = heap.values[n // 2 :] == vals[n // 2 :]
         assert kept.mean() > 0.99
+        assert verify_loh(heap)
+        assert_layers_are_rank_slices(heap, vals)
+
+
+def _reference_cut_front(work, cut):
+    """The front cut before the blocked pass: a mask of the input's size,
+    then a gather and a partition, in place on a copy already made."""
+    n = work.size
+    sample = work[:: max(1, n // loh_mod.SAMPLE)]
+    rank = min(sample.size - 1, 2 * cut * sample.size // n + loh_mod.SAMPLE_MARGIN)
+    sample = np.partition(sample, rank)
+    tau, most, c = sample[rank], max(loh_mod.SAMPLE, n // loh_mod.GATHER_SHARE), n
+    if np.count_nonzero(sample <= tau) * n <= most * sample.size:
+        mask = work <= tau
+        c = int(np.count_nonzero(mask))
+        if not cut <= c <= most:
+            c = n
+        else:
+            back, late = work[c:], np.flatnonzero(mask[c:])
+            early = np.flatnonzero(np.logical_not(mask[:c], out=mask[:c]))
+            work[early], back[late] = back[late], work[early]
+    work[:c].partition(cut - 1)
+
+
+def _reference_lohify(values, alpha=loh_mod.DEFAULT_ALPHA):
+    """lohify as it was before the blocked pass, without the finiteness
+    check: copy, cut the front by _reference_cut_front, place it, and take
+    hi as the max of the back."""
+    work = loh_mod._coerce(values, "values").copy()
+    frac = loh_mod._alpha_fraction(alpha)
+    geometry = loh_mod._layer_geometry(frac.numerator, frac.denominator, work.size)
+    front, layers = geometry.front, len(geometry.ends) - 1
+    spans = [(0, layers)]
+    if front < layers:
+        _reference_cut_front(work, geometry.ends[front])
+        spans = [(front, layers), (0, front)]
+    heap = loh_mod.LayerOrderedHeap(work, geometry, alpha, spans)
+    heap.place(front)
+    heap.hi = heap.layer_maxs[-1] if front == layers else work[geometry.ends[front] :].max().item()
+    return heap
+
+
+BLOCK = loh_mod.BLOCK
+PASS_LENGTHS = (BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7, 1 << 20)
+
+
+def _pass_input(n, kind):
+    """An input of n values for the blocked pass, as a view where kind says so."""
+    rng = np.random.default_rng(n)
+    if kind == "reversed view":
+        return rng.random(n)[::-1]
+    if kind == "strided view":
+        return rng.random(3 * n)[1::3]
+    if kind == "read-only":
+        vals = rng.random(n)
+        vals.flags.writeable = False
+        return vals
+    if kind == "int64 edges":
+        edge = np.iinfo(np.int64)
+        offsets = rng.integers(0, 1000, size=n)
+        return np.where(rng.random(n) < 0.5, edge.max - offsets, edge.min + offsets)
+    return rng.random(n)
+
+
+# Where a non-finite value goes: a block's first and last positions, and
+# inside the last block, which is partial unless n is a multiple of BLOCK.
+NON_FINITE_AT = {
+    "last block's first": lambda n: BLOCK * ((n - 1) // BLOCK),
+    "first block's last": lambda n: min(n, BLOCK) - 1,
+    "inside the last block": lambda n: n - 2,
+}
+
+
+class TestBlockedPass:
+    """lohify copies a large input, takes its max and gathers its front in
+    one pass of BLOCK values at a time, with no mask of the input's size,
+    and builds the same heap, byte for byte, as the copy-then-mask cut."""
+
+    def assert_same_heap(self, monkeypatch, vals):
+        monkeypatch.setattr(loh_mod, "check_finite", lambda *args: None)
+        heap, want = lohify(vals), _reference_lohify(vals)
+        assert len(heap.layer_mins) < heap.boundaries.size  # a front was cut
+        assert heap.values.tobytes() == want.values.tobytes()
+        np.testing.assert_array_equal(heap.layer_mins, want.layer_mins)
+        np.testing.assert_array_equal(heap.layer_maxs, want.layer_maxs)
+        np.testing.assert_array_equal(heap.hi, want.hi)
+        assert heap.values.flags.c_contiguous and not heap.values.flags.writeable
+
+    @pytest.mark.parametrize("n", PASS_LENGTHS)
+    @pytest.mark.parametrize(
+        "kind", ("reals", "reversed view", "strided view", "read-only", "int64 edges")
+    )
+    def test_same_heap_as_the_masked_cut(self, monkeypatch, n, kind):
+        vals = _pass_input(n, kind)
+        snapshot = vals.tobytes()
+        self.assert_same_heap(monkeypatch, vals)
+        assert vals.tobytes() == snapshot
+
+    @pytest.mark.parametrize("n", PASS_LENGTHS)
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    @pytest.mark.parametrize("where", sorted(NON_FINITE_AT))
+    def test_non_finite_at_block_edges(self, monkeypatch, n, bad, where):
+        """NaN or an infinity at a block's edge leaves the same heap, with
+        NaN and +inf at the back and hi, and lohify refuses the input."""
+        vals = _pass_input(n, "reals")
+        vals[NON_FINITE_AT[where](n)] = bad
+        with pytest.raises(InvalidValueError):
+            lohify(vals)
+        self.assert_same_heap(monkeypatch, vals)
+
+    def test_positions_that_cannot_be_allocated_are_a_typed_error(self, monkeypatch):
+        """numpy failing to allocate the recorded positions raises
+        ResourceLimitError naming their bound, not a bare MemoryError."""
+        def flatnonzero(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(np, "flatnonzero", flatnonzero)
+        n = 1 << 20
+        most = n // loh_mod.GATHER_SHARE + BLOCK
+        with pytest.raises(ResourceLimitError) as err:
+            lohify(np.random.default_rng(12).random(n))
+        assert str(err.value) == (
+            f"out of memory for a front's positions: {most} values, {8 * most} bytes"
+        )
+
+    def test_ties_hidden_from_the_sample_stop_the_gather(self):
+        """Ties at positions the strided sample skips put half the input at
+        or below tau, which the sample cannot predict; the pass stops
+        recording positions once they pass a gather's worth and the input
+        is cut whole. The build peaks at its working copy and little more,
+        and the heap is the masked cut's, exact."""
+        n = 1 << 20
+        vals = np.random.default_rng(11).random(n) + 1
+        hidden = ~_sampled_positions(n)
+        hidden[: n // 2] = False
+        vals[hidden] = 0.0
+        tracemalloc.start()
+        try:
+            heap = lohify(vals)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * n * 8
+        want = _reference_lohify(vals)
+        assert heap.values.tobytes() == want.values.tobytes()
+        assert len(heap.layer_mins) < heap.boundaries.size
         assert verify_loh(heap)
         assert_layers_are_rank_slices(heap, vals)
 

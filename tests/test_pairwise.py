@@ -504,6 +504,42 @@ class TestGenerateNextLayer:
         assert state.last_max_value == closed[-1][0]
         assert state.values_generated == state.carry_count == sum(expanded)
 
+    @pytest.mark.parametrize("mode", MODES)
+    def test_a_node_whose_heap_failed_refuses_every_later_call(self, monkeypatch, mode):
+        """After a push onto its heap fails, a node may hold a product in its
+        carry with no max tuple, so it is spent: draining it, asking it for
+        a new layer, a parent reading it and a query on its tree all raise
+        ResourceLimitError naming the first failure, and none answers."""
+        heappush, pushes = pairwise_mod.heapq.heappush, []
+
+        def fail_40th(heap, item):
+            pushes.append(item)
+            if len(pushes) == 40:
+                raise MemoryError
+            heappush(heap, item)
+
+        monkeypatch.setattr(pairwise_mod.heapq, "heappush", fail_40th)
+        a, b = np.arange(40), np.arange(0, 80, 2)
+        state = make_state(a, b, mode)
+        with pytest.raises(ResourceLimitError) as first:
+            state.generate_next_layer(a.size * b.size)
+        assert state.failure == str(first.value)
+        spent = f"node is spent by an earlier failure: {first.value}"
+        for call in (lambda: drain(state, [7] * 400), lambda: state.ensure(1)):
+            with pytest.raises(ResourceLimitError) as err:
+                call()
+            assert str(err.value) == spent
+        assert state.ends == [0]
+        parent = PairwiseState(state, LeafNode(lohify(np.arange(5))), mode)
+        with pytest.raises(ResourceLimitError, match="is spent by an earlier failure"):
+            parent.generate_next_layer(7)
+        pushes.clear()
+        tree = build_tree([a, b], TreeConfig(mode=mode))
+        with pytest.raises(ResourceLimitError, match="out of memory for a node's heap"):
+            tree.select_k(a.size * b.size)
+        with pytest.raises(ResourceLimitError, match="is spent by an earlier failure"):
+            tree.select_k(7)
+
     def test_bad_target_rejected(self):
         state = make_state([1, 2], [3, 4])
         for bad in (0, 2.7, "3"):
