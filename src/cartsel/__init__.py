@@ -24,7 +24,7 @@ from .loh import (
     partition_by_value,
     verify_loh,
 )
-from .oracle import brute_multi, brute_pairwise
+from .oracle import brute_multi, brute_pairwise, brute_tree
 from .pairwise import MODES, PairwiseState
 from .tree import (
     CartesianProductTree,
@@ -52,6 +52,7 @@ __all__ = [
     "TreeConfig",
     "brute_multi",
     "brute_pairwise",
+    "brute_tree",
     "build_tree",
     "layer_size_schedule",
     "layer_sizes",

@@ -11,14 +11,17 @@ Every heap is built by lohify and has its layers placed by
 LayerOrderedHeap.place, front first and on demand, by one rule. The layer
 geometry (boundaries, layer starts and lasts, and the front) is computed
 once per rank and length and shared, read-only, by every heap of that
-length. An input that is short for its number of boundaries has every layer
-as its front, which place sorts whole at build. Any other input has its
-front, the layers through the first boundary at or past isqrt(n), cut off
-the back and placed at build. The cut takes a threshold from a strided
-sample of the input, copies the input in one pass of BLOCK-value blocks
-that also takes its max and finds the values at or below the threshold,
-with no mask of the input's size, moves those to the start and partitions
-only them; the back waits as one unplaced span, which place
+length. An input that is short for its number of boundaries, such as every
+input of at most 336 values at the default rank, has every layer
+as its front: lohify sorts it whole in one step, the one place uses for a
+span it sorts, reads every layer's extremes at the shared geometry's starts
+and lasts, and makes the values read-only, with no span stack. Any other
+input has its front, the layers through the first boundary at or past
+isqrt(n), cut off the back and placed at build. The cut takes a threshold
+from a strided sample of the input, copies the input in one pass of
+BLOCK-value blocks that also takes its max and finds the values at or below
+the threshold, with no mask of the input's size, moves those to the start
+and partitions only them; the back waits as one unplaced span, which place
 splits front-most first when a reader asks for a deeper layer. Placing is
 divide and conquer: a span is partitioned in place at the boundary nearest
 its middle and each side is split in turn, and a span holding many
@@ -180,11 +183,22 @@ def _layer_geometry(num: int, den: int, n: int) -> _Geometry:
 _PROFILE = (np.dtype(np.int64), np.dtype(np.float64))
 
 
+def _in_profile(values) -> bool:
+    """Whether values is already a one-dimensional, non-empty int64 or
+    float64 array, which _coerce would hand back as itself."""
+    return (
+        type(values) is np.ndarray
+        and values.dtype in _PROFILE
+        and values.ndim == 1
+        and values.size > 0
+    )
+
+
 def _coerce(values, name: str) -> np.ndarray:
     """The input in the numeric profile (int64 or float64), float values unscanned.
 
     A one-dimensional, non-empty input already in the profile comes back as
-    itself, so a build's second pass over its inputs only checks their dtype.
+    itself; callers skip the call for one that _in_profile accepts.
     """
     try:
         arr = np.asarray(values)
@@ -216,7 +230,7 @@ def as_value_arrays(inputs) -> list[np.ndarray]:
     values from each input's extremes. An input already in the profile may
     come back as itself, not a copy: callers must not write to the result.
     """
-    arrays = [_coerce(x, f"input {i}") for i, x in enumerate(inputs)]
+    arrays = [x if _in_profile(x) else _coerce(x, f"input {i}") for i, x in enumerate(inputs)]
     if not arrays:
         raise EmptyInputError("need at least one input array")
     if any(a.dtype.kind == "f" for a in arrays):
@@ -237,7 +251,7 @@ def check_sums(los, his) -> None:
     exceed the largest finite float64: every such sum lies in
     [m * min(0, lo), m * max(0, hi)] over the group."""
     m, lo, hi = len(los), min(los), max(his)
-    if isinstance(lo, numbers.Integral):  # Python ints: numpy int64 products wrap
+    if isinstance(lo, (int, np.integer)):  # Python ints: numpy int64 products wrap
         lo, hi, bottom, top = int(lo), int(hi), -(2**63), 2**63 - 1
     else:
         lo, hi, bottom, top = float(lo), float(hi), -sys.float_info.max, sys.float_info.max
@@ -376,17 +390,23 @@ class LayerOrderedHeap:
                     spans.append((a, j))
                     continue
                 # layers a+1..b are placed: record their extremes
-                if b - a > 1:  # sorted whole, so each layer's are at its ends
-                    work[lo:hi].sort()
-                    geometry = self.geometry
-                    self.layer_mins += work[geometry.starts[a:b]].tolist()
-                    self.layer_maxs += work[geometry.lasts[a:b]].tolist()
+                if b - a > 1:
+                    self._sort_span(a, b)
                 else:
                     layer = work[lo:hi]
                     self.layer_mins.append(layer.min().item())
                     self.layer_maxs.append(layer.max().item())
         finally:
             work.flags.writeable = False
+
+    def _sort_span(self, a: int, b: int) -> None:
+        """Place layers a+1..b by sorting their values whole, so each layer's
+        extremes are the values at its start and last position, read at the
+        shared geometry's starts and lasts. The values must be writeable."""
+        work, geometry = self.values, self.geometry
+        work[self.ends[a] : self.ends[b]].sort()
+        self.layer_mins += work[geometry.starts[a:b]].tolist()
+        self.layer_maxs += work[geometry.lasts[a:b]].tolist()
 
 
 # A large input's front is cut below a threshold tau, the sample's
@@ -448,14 +468,17 @@ def lohify(values, alpha=DEFAULT_ALPHA) -> LayerOrderedHeap:
     The input is copied once and never written. The front, the layers
     placed here, is read from the geometry shared by every heap of this
     rank and length: every layer when the input is dense for its layer
-    boundaries, so its copy is sorted whole. Any other input is copied by
-    _copy_cut_front in one blocked pass that also takes its max and gathers
-    the values at or below a sampled threshold, so that only they are
-    partitioned to cut the front through the first boundary at or past
-    isqrt(n); no mask of the input's size is made. The layers of that front
-    are placed by divide and conquer: a span is partitioned at the boundary
-    nearest its middle and both sides are split in turn, until a span holds
-    no boundary or is dense enough to sort whole. The back stays one
+    boundaries, so its copy is sorted whole, once, by the step place uses
+    for a dense span, and the values are made read-only. An input already
+    in the profile, as build_tree passes it, is not coerced again, and a
+    rank already parsed, a Fraction above 1, is not parsed again. Any other
+    input is copied by _copy_cut_front in one blocked pass that also takes
+    its max and gathers the values at or below a sampled threshold, so that
+    only they are partitioned to cut the front through the first boundary
+    at or past isqrt(n); no mask of the input's size is made. The layers of
+    that front are placed by divide and conquer: a span is partitioned at
+    the boundary nearest its middle and both sides are split in turn, until
+    a span holds no boundary or is dense enough to sort whole. The back stays one
     unplaced span until place() asks for its layers. Each level of the
     recursion moves at most len(values) elements, so placing every layer
     costs O(n max(1, log(1/(alpha-1)))). The values end up read-only.
@@ -464,7 +487,7 @@ def lohify(values, alpha=DEFAULT_ALPHA) -> LayerOrderedHeap:
     last and -inf first, so check_finite finds them in the first layer's
     min and in hi, the max of the last layer or the one the pass took.
     """
-    arr = _coerce(values, "values")
+    arr = values if _in_profile(values) else _coerce(values, "values")
     frac = _alpha_fraction(alpha)
     geometry = _layer_geometry(frac.numerator, frac.denominator, arr.size)
     front, layers = geometry.front, len(geometry.ends) - 1
@@ -472,18 +495,21 @@ def lohify(values, alpha=DEFAULT_ALPHA) -> LayerOrderedHeap:
         work = arr.copy() if front == layers else np.empty(arr.size, arr.dtype)
     except MemoryError:
         raise _out_of_memory(arr.size, arr.dtype, "a heap's working copy") from None
-    spans = [(0, layers)]
-    if front < layers:
+    if front == layers:  # dense: one sort places every layer
+        heap = LayerOrderedHeap(work, geometry, alpha, [])
+        heap._sort_span(0, layers)
+        work.flags.writeable = False
+        hi = heap.layer_maxs[-1]
+    else:
         try:
             hi = _copy_cut_front(arr, work, geometry.ends[front])
         except MemoryError:  # the positions recorded: at most a gather's worth and a block
             most = max(SAMPLE, arr.size // GATHER_SHARE) + BLOCK
             raise _out_of_memory(most, np.intp, "a front's positions") from None
-        spans = [(front, layers), (0, front)]
-    heap = LayerOrderedHeap(work, geometry, alpha, spans)
-    heap.place(front)  # which leaves the values read-only
-    heap.hi = heap.layer_maxs[-1] if front == layers else hi
-    check_finite(heap.layer_mins[0], heap.hi, "input")
+        heap = LayerOrderedHeap(work, geometry, alpha, [(front, layers), (0, front)])
+        heap.place(front)  # which leaves the values read-only
+    heap.hi = hi
+    check_finite(heap.layer_mins[0], hi, "input")
     return heap
 
 

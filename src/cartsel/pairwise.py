@@ -113,7 +113,11 @@ class PairwiseState:
         self.mode = mode
         self.label = label
         self._schedule = layer_size_schedule(alpha)
-        self.dtype = np.promote_types(left.dtype, right.dtype)
+        dtype = left.dtype
+        if right.dtype is not dtype:  # children of one profile share one dtype object
+            dtype = np.promote_types(dtype, right.dtype)
+        self.dtype = dtype
+        # a tuple per node, not one shared: once popped, the query's pushes reuse its memory
         self.heap: list[tuple] = [(-math.inf, UNPRICED, 1, 1, 1)]
         self.values = np.empty(0, self.dtype)
         self.ends = [0]

@@ -57,20 +57,24 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TreeConfig:
-    """Build and selection parameters for the whole tree."""
+    """Build and selection parameters for the whole tree.
+
+    alpha_fraction is the rank as an exact rational, parsed when the config
+    is made (the parse is memoized per distinct rank), so a build reads it
+    without parsing again.
+    """
 
     alpha: float | Fraction | str = DEFAULT_ALPHA
     mode: str = "standard"
+    alpha_fraction: Fraction = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r}, expected one of {MODES}")
-        self.alpha_fraction  # validate now; the parse is memoized for every build
+        object.__setattr__(self, "alpha_fraction", _alpha_fraction(self.alpha))
 
-    @property
-    def alpha_fraction(self) -> Fraction:
-        """The rank as an exact rational, parsed once per distinct rank."""
-        return _alpha_fraction(self.alpha)
+
+_DEFAULT_CONFIG = TreeConfig()
 
 
 @dataclass
@@ -182,7 +186,7 @@ def build_tree(inputs, config: TreeConfig | None = None) -> CartesianProductTree
     refuses a non-finite min or hi, its max taken at build, and check_sums
     judges the group from the same extremes.
     """
-    cfg = config if config is not None else TreeConfig()
+    cfg = config if config is not None else _DEFAULT_CONFIG
     arrays = as_value_arrays(inputs)
     alpha = cfg.alpha_fraction
     leaves = []

@@ -170,9 +170,20 @@ class TestAsValueArray:
 
 class TestCheckSums:
     def test_sum_overflow_rejected(self):
-        """Two arrays whose worst-case sum exceeds int64 are refused up front."""
+        """Two arrays whose worst-case sum exceeds int64 are refused up front.
+        numpy int64 extremes, as brute_multi passes them, are judged as
+        Python ints, so the products that test them cannot wrap."""
         with pytest.raises(InvalidValueError):
             check_sums([2**62, 2**62], [2**62, 2**62])
+        edge = np.iinfo(np.int64)
+        with pytest.raises(InvalidValueError):
+            check_sums([np.int64(0)] * 2, [np.int64(2**62)] * 2)
+        with pytest.raises(InvalidValueError):
+            check_sums([np.int64(edge.min)] * 3, [np.int64(edge.max)] * 3)
+        with pytest.raises(InvalidValueError):
+            check_sums([np.int64(-(2**62) - 1)] * 2, [np.int64(0)] * 2)
+        check_sums([np.int64(edge.min)], [np.int64(edge.max)])
+        check_sums([np.int64(-(2**62))] * 2, [np.int64(2**62 - 1)] * 2)
 
     def test_float_sum_overflow_rejected(self):
         """A float group is refused when its sums can pass the largest finite
@@ -184,6 +195,12 @@ class TestCheckSums:
             check_sums([np.float64(-1e308)] * 4, [np.float64(0.0)] * 4)
         check_sums([-1e307] * 4, [1e307] * 4)
         check_sums([-np.finfo(np.float64).max], [np.finfo(np.float64).max])
+        top = np.finfo(np.float64).max
+        check_sums([np.float64(-top / 4)] * 4, [np.float64(top / 4)] * 4)
+        with pytest.raises(InvalidValueError):
+            check_sums([np.float64(0.0)] * 4, [np.float64(top / 3)] * 4)
+        with pytest.raises(InvalidValueError):
+            check_sums([np.float64(-top / 3)] * 4, [np.float64(0.0)] * 4)
 
 
 class TestLinearSelect:
@@ -767,6 +784,8 @@ def _pass_input(n, kind):
         edge = np.iinfo(np.int64)
         offsets = rng.integers(0, 1000, size=n)
         return np.where(rng.random(n) < 0.5, edge.max - offsets, edge.min + offsets)
+    if kind == "signed zeros":  # 0.0 and -0.0 compare equal; their bytes differ
+        return rng.choice([-0.0, 0.0, -1.5], size=n)
     return rng.random(n)
 
 
@@ -779,30 +798,76 @@ NON_FINITE_AT = {
 }
 
 
+def _assert_same_heap(monkeypatch, vals):
+    """lohify builds _reference_lohify's heap from vals, byte for byte, with
+    the same recorded extremes, zeros' signs included, and an equal hi,
+    read-only; the input is unchanged. Returns the heap."""
+    snapshot = vals.tobytes()
+    monkeypatch.setattr(loh_mod, "check_finite", lambda *args: None)
+    heap, want = lohify(vals), _reference_lohify(vals)
+    assert heap.values.tobytes() == want.values.tobytes()
+    assert np.array(heap.layer_mins).tobytes() == np.array(want.layer_mins).tobytes()
+    assert np.array(heap.layer_maxs).tobytes() == np.array(want.layer_maxs).tobytes()
+    # a cut input's hi is the max of every block, the reference's of the back
+    # alone, so at a tie of signed zeros the two may differ in sign only
+    np.testing.assert_array_equal(heap.hi, want.hi)
+    assert heap.values.flags.c_contiguous and not heap.values.flags.writeable
+    assert vals.tobytes() == snapshot
+    return heap
+
+
+def _dense(n):
+    """Whether lohify places every layer of n values at build, at the default rank."""
+    frac = loh_mod._alpha_fraction(loh_mod.DEFAULT_ALPHA)
+    geometry = loh_mod._layer_geometry(frac.numerator, frac.denominator, n)
+    return geometry.front == len(geometry.ends) - 1
+
+
+# The largest length the default rank builds dense, found by search: past
+# it, every length gets a front cut.
+LAST_DENSE = max(n for n in range(1, 1 << 12) if _dense(n))
+DENSE_LENGTHS = (1, 256, LAST_DENSE, LAST_DENSE + 1)
+PASS_KINDS = ("reals", "reversed view", "strided view", "read-only", "int64 edges", "signed zeros")
+
+
+class TestDensePath:
+    """A dense input is sorted whole in one step, with its layers' extremes
+    read at the shared geometry's starts and lasts, and builds the same heap
+    as placing its one span through place."""
+
+    @pytest.mark.parametrize("n", DENSE_LENGTHS)
+    @pytest.mark.parametrize("kind", PASS_KINDS)
+    def test_same_heap_as_placing_the_whole_span(self, monkeypatch, n, kind):
+        heap = _assert_same_heap(monkeypatch, _pass_input(n, kind))
+        front = heap.geometry.front
+        assert (front == heap.boundaries.size) == (n <= LAST_DENSE)  # every layer placed
+        assert len(heap.layer_mins) == len(heap.layer_maxs) == front
+
+    @pytest.mark.parametrize("n", DENSE_LENGTHS)
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_non_finite_is_refused_and_named(self, n, bad):
+        for at in sorted({0, n // 2, n - 1}):
+            second = _pass_input(n, "reals")
+            second[at] = bad
+            with pytest.raises(InvalidValueError, match="input 1"):
+                build_tree([[1.0, 2.0], second])
+
+
 class TestBlockedPass:
     """lohify copies a large input, takes its max and gathers its front in
     one pass of BLOCK values at a time, with no mask of the input's size,
     and builds the same heap, byte for byte, as the copy-then-mask cut."""
 
     def assert_same_heap(self, monkeypatch, vals):
-        monkeypatch.setattr(loh_mod, "check_finite", lambda *args: None)
-        heap, want = lohify(vals), _reference_lohify(vals)
+        heap = _assert_same_heap(monkeypatch, vals)
         assert len(heap.layer_mins) < heap.boundaries.size  # a front was cut
-        assert heap.values.tobytes() == want.values.tobytes()
-        np.testing.assert_array_equal(heap.layer_mins, want.layer_mins)
-        np.testing.assert_array_equal(heap.layer_maxs, want.layer_maxs)
-        np.testing.assert_array_equal(heap.hi, want.hi)
-        assert heap.values.flags.c_contiguous and not heap.values.flags.writeable
 
     @pytest.mark.parametrize("n", PASS_LENGTHS)
     @pytest.mark.parametrize(
         "kind", ("reals", "reversed view", "strided view", "read-only", "int64 edges")
     )
     def test_same_heap_as_the_masked_cut(self, monkeypatch, n, kind):
-        vals = _pass_input(n, kind)
-        snapshot = vals.tobytes()
-        self.assert_same_heap(monkeypatch, vals)
-        assert vals.tobytes() == snapshot
+        self.assert_same_heap(monkeypatch, _pass_input(n, kind))
 
     @pytest.mark.parametrize("n", PASS_LENGTHS)
     @pytest.mark.parametrize("bad", NON_FINITE)

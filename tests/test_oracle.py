@@ -9,8 +9,9 @@ from cartsel.errors import (
     InvalidValueError,
     ResourceLimitError,
 )
-from cartsel.oracle import brute_multi, brute_pairwise
-from conftest import NON_FINITE
+from cartsel.oracle import brute_multi, brute_pairwise, brute_tree
+from cartsel.tree import build_tree
+from conftest import NON_FINITE, k_smallest_sums
 
 
 class TestBrutePairwise:
@@ -120,3 +121,44 @@ class TestBruteMulti:
         arrays = [np.zeros(64, dtype=np.int64)] * 5
         with pytest.raises(ResourceLimitError):
             brute_multi(arrays, 1, cap=1 << 24)
+
+
+class TestBruteTree:
+    def test_equals_brute_multi_on_ints(self):
+        """Integer sums are exact, so adding in the tree's order changes
+        nothing: every k of every m from 1 to 6 matches brute_multi."""
+        rng = np.random.default_rng(3)
+        for m in range(1, 7):
+            arrays = [rng.integers(-20, 20, size=rng.integers(1, 5)) for _ in range(m)]
+            total = int(np.prod([a.size for a in arrays]))
+            for k in range(total + 1):
+                np.testing.assert_array_equal(brute_tree(arrays, k), brute_multi(arrays, k))
+
+    def test_adds_in_the_tree_order(self):
+        """Four inputs split (0, 1), (2, 3): 1 + 1e16 and -1e16 + 1 each round
+        the 1 away, so the tree's sum is 0, where left to right gives 1."""
+        arrays = [[1.0], [1e16], [-1e16], [1.0]]
+        np.testing.assert_array_equal(brute_tree(arrays, 1), [0.0])
+        np.testing.assert_array_equal(brute_multi(arrays, 1), [1.0])
+        np.testing.assert_array_equal(build_tree(arrays).select_k(1), [0.0])
+
+    def test_keeps_the_k_smallest_at_each_node(self):
+        """Four inputs of 2**12 values: no node forms more than k * k sums,
+        and the answer is the fold of k smallest partial sums."""
+        rng = np.random.default_rng(4)
+        arrays = [rng.integers(0, 1 << 40, size=1 << 12) for _ in range(4)]
+        got = brute_tree(arrays, 64, cap=64 * 64)
+        np.testing.assert_array_equal(got, k_smallest_sums(arrays, 64))
+        with pytest.raises(ResourceLimitError, match="a node forms 4225 sums"):
+            brute_tree(arrays, 65, cap=64 * 64)
+
+    def test_inputs_and_k_are_held_to_the_engine_rules(self):
+        assert brute_tree([[1], [2]], 0).size == 0
+        with pytest.raises(ContractError):
+            brute_tree([[1, 2], [3]], 3)
+        with pytest.raises(InvalidValueError, match="input 1"):
+            brute_tree([[1.0], [np.nan]], 1)
+        with pytest.raises(InvalidValueError):
+            brute_tree([[0, 2**62]] * 3, 1)
+        with pytest.raises(EmptyInputError):
+            brute_tree([], 1)

@@ -6,7 +6,9 @@ Inputs are drawn from the families that stress ties and ranges: few distinct
 values, negatives, magnitudes at the int64 limit for m summands, and ragged
 lengths, with m up to 8 and the full product kept small enough to enumerate.
 The work-bound property draws up to 40 inputs and checks its answers against
-the fold of k smallest sums instead.
+the fold of k smallest sums instead. Float answers are checked exactly
+against brute force that adds in the tree's order, on wide-magnitude and
+cancelling values.
 """
 
 import math
@@ -16,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cartsel.loh import lohify
-from cartsel.oracle import brute_multi
+from cartsel.oracle import brute_multi, brute_tree
 from cartsel.pairwise import MODES
 from cartsel.tree import TreeConfig, build_tree
 from conftest import G, G0, assert_layers_are_rank_slices, k_smallest_sums
@@ -130,6 +132,45 @@ def test_lazy_leaves_equal_brute_force(case):
         for k in ks:
             got = np.sort(tree.select_k(k))
             np.testing.assert_array_equal(got, expect[:k], err_msg=f"{mode} k={k}")
+
+
+# Float families on which summation order changes the rounded sums: values
+# spread over sixteen orders of magnitude either side of zero, and values
+# that cancel or vanish next to +-1e16.
+FLOAT_FAMILIES = {
+    "wide-magnitude": st.one_of(st.floats(1e-8, 1e8), st.floats(-1e8, -1e-8)),
+    "cancelling": st.sampled_from((0.1, 0.2, 0.3, 0.7, 1.0, -0.1, -0.3, 1e16, -1e16)),
+}
+
+
+@st.composite
+def float_instances(draw):
+    """(arrays, ks): one to five ragged float inputs of one family and a
+    query sequence that grows, repeats and shrinks."""
+    m = draw(st.integers(1, 5))
+    values = FLOAT_FAMILIES[draw(st.sampled_from(sorted(FLOAT_FAMILIES)))]
+    max_len = min(12, int(MAX_TOTAL ** (1 / m)))
+    arrays = [
+        np.array(draw(st.lists(values, min_size=1, max_size=max_len)), dtype=np.float64)
+        for _ in range(m)
+    ]
+    total = math.prod(a.size for a in arrays)
+    ks = draw(st.lists(st.integers(1, total), min_size=1, max_size=4))
+    return arrays, [*ks, total, draw(st.integers(1, total))]
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(float_instances())
+def test_float_answers_are_the_sums_rounded_in_tree_order(case):
+    """A float answer is exactly the k smallest of the sums as the tree
+    rounds them, fresh and resumed, in both modes: rounding is monotone, so
+    certifying with rounded layer bounds selects the same multiset."""
+    arrays, ks = case
+    for mode in MODES:
+        tree = build_tree(arrays, TreeConfig(mode=mode))
+        for k in ks:
+            got = np.sort(tree.select_k(k))
+            np.testing.assert_array_equal(got, brute_tree(arrays, k), err_msg=f"{mode} k={k}")
 
 
 MAX_WORK_M = 40

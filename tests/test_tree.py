@@ -22,7 +22,7 @@ from cartsel.errors import (
     InvalidValueError,
 )
 from cartsel.loh import lohify, verify_loh
-from cartsel.oracle import brute_multi
+from cartsel.oracle import brute_multi, brute_tree
 from cartsel.pairwise import MODES, UNPRICED, PairwiseState
 from cartsel.tree import LeafNode, TreeConfig, build_tree, select_pairwise
 from conftest import G, G0, NON_FINITE, assert_one_buffer, k_smallest_sums, layers, record_pops
@@ -152,16 +152,16 @@ class TestBuildTree:
 
     @pytest.mark.parametrize("mode", MODES)
     def test_large_floats_that_fit_are_accepted(self, mode):
-        """Four inputs of +-1e307 sum within float64 and select like brute
-        force, up to the rounding of a different summation order (3e307 - 1e307
-        is not 2e307 in float64); at +-2**1020 every sum is exact."""
+        """Four inputs of +-1e307 sum within float64 and select exactly the
+        sums rounded in the tree's order, which left-to-right brute force
+        need not match (3e307 - 1e307 is not 2e307 in float64); at +-2**1020
+        every sum is exact, so the two orders agree."""
         for arrays in ([[1e307, -1e307, 0.0]] * 4, [[2.0**1020, -(2.0**1020), 0.0]] * 4):
             tree = build_tree(arrays, TreeConfig(mode=mode))
             got = np.sort(tree.select_k(tree.total))
-            expect = brute_multi(arrays, tree.total)
             assert np.isfinite(got).all()
-            np.testing.assert_allclose(got, expect, rtol=1e-15, atol=0)
-        np.testing.assert_array_equal(got, expect)
+            np.testing.assert_array_equal(got, brute_tree(arrays, tree.total))
+        np.testing.assert_array_equal(got, brute_multi(arrays, tree.total))
 
     def test_ragged_input_rejected(self):
         with pytest.raises(ContractError, match="input 0"):
@@ -585,8 +585,7 @@ class TestLayerExtremes:
         tree = build_tree(arrays, TreeConfig(mode=mode))
         assert tree.height == (m - 1).bit_length()
         for k in (1, 7, 300, tree.total):
-            # reals are added in another order by the oracle
-            np.testing.assert_allclose(np.sort(tree.select_k(k)), brute_multi(arrays, k), rtol=0, atol=1e-12)
+            np.testing.assert_array_equal(np.sort(tree.select_k(k)), brute_tree(arrays, k))
             for node in tree.internals:
                 assert_one_buffer(node)
 
@@ -718,8 +717,7 @@ class TestLazyLeaves:
         tree = build_tree(arrays, TreeConfig(mode=mode))
         assert all(len(leaf.mins) < leaf.loh.boundaries.size for leaf in tree.leaves)
         for k in (1 << 10, 1 << 12):
-            # the tree and the fold add reals in different orders
-            np.testing.assert_allclose(np.sort(tree.select_k(k)), k_smallest_sums(arrays, k), atol=1e-12)
+            np.testing.assert_array_equal(np.sort(tree.select_k(k)), brute_tree(arrays, k))
             assert sum(spanned) == tree.stats().values_generated > 0
 
 
